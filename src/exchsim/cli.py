@@ -15,6 +15,7 @@ import os
 import sys
 import time
 import traceback
+from dataclasses import asdict
 
 from . import __version__, budget, montecarlo
 from .dephasing import DephasingSpec
@@ -197,16 +198,8 @@ def cmd_feasibility(args):
     _write_json(
         json_path,
         {
-            "platform": {"name": platform_name, "t2_s": platform.t2_s,
-                         "sensitivity": platform.sensitivity},
-            "technology": {
-                "name": tech.name,
-                "sigma_a": tech.sigma_a,
-                "sigma_t_s": tech.sigma_t_s,
-                "bw_low_hz": tech.bw_low_hz,
-                "bw_high_hz": tech.bw_high_hz,
-                "notes": tech.notes,
-            },
+            "platform": {"name": platform_name, **asdict(platform)},
+            "technology": asdict(tech),
             "epsilon": epsilon,
             "strict_bandwidth": args.strict_bandwidth,
             "feasible": report.feasible,
@@ -382,23 +375,7 @@ def cmd_sweep(args):
 def cmd_catalog(args):
     entries = budget.merge_catalog(_user_technologies(args.file))
     if args.format == "json":
-        print(
-            json.dumps(
-                [
-                    {
-                        "name": t.name,
-                        "sigma_a": t.sigma_a,
-                        "sigma_t_s": t.sigma_t_s,
-                        "bw_low_hz": t.bw_low_hz,
-                        "bw_high_hz": t.bw_high_hz,
-                        "notes": t.notes,
-                    }
-                    for t in entries
-                ],
-                indent=2,
-                sort_keys=True,
-            )
-        )
+        print(json.dumps([asdict(t) for t in entries], indent=2, sort_keys=True))
         return 0
     header = (
         f"{'name':<28} {'sigma_a (dimensionless)':>24} {'sigma_t (s)':>14} "

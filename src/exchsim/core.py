@@ -54,11 +54,6 @@ def max_abs(m):
     return float(np.max(np.abs(m))) if np.asarray(m).size else 0.0
 
 
-def is_unitary(u, atol=ATOL_CONSTRUCT):
-    u = np.asarray(u, dtype=complex)
-    return max_abs(u.conj().T @ u - np.eye(u.shape[0])) <= atol
-
-
 def check_unitary(u, atol=ATOL_CONSTRUCT):
     """Validate U†U = I within `atol` (max-abs). Returns the array."""
     u = as_operator(u)

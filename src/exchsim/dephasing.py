@@ -52,15 +52,12 @@ class QuantumChannel4:
         object.__setattr__(self, "kraus", ops)
 
 
-def identity_channel():
-    return QuantumChannel4(kraus=(core.IDENT_4,))
-
-
 def flip_probability(duration_s, t2_s):
     """Phase-flip probability p = (1 - exp(-T/T2)) / 2 after a wait of T."""
     if duration_s < 0.0 or math.isnan(duration_s):
         raise ValueError(f"duration must be >= 0, got {duration_s!r}")
-    return 0.5 * (1.0 - math.exp(-duration_s / t2_s))
+    # expm1 keeps the relative precision of p when T << T2.
+    return -0.5 * math.expm1(-duration_s / t2_s)
 
 
 def dephasing_channel(duration_s, spec):

@@ -164,12 +164,3 @@ def _check_relative(x, name):
     if not (math.isfinite(x) and abs(x) < 1.0):
         raise ValueError(f"{name} must satisfy |x| < 1, got {x!r}")
 
-
-def wrap_phase(theta):
-    """Reduce an angle to (-pi, pi] for comparisons.  Never applied silently."""
-    wrapped = math.fmod(float(theta), 2.0 * math.pi)
-    if wrapped > math.pi:
-        wrapped -= 2.0 * math.pi
-    elif wrapped <= -math.pi:
-        wrapped += 2.0 * math.pi
-    return wrapped

@@ -63,34 +63,39 @@ def _draw(rng, distribution, sigma):
     return float(rng.uniform(-half_width, half_width))
 
 
-def sample_pulse(rng, nominal, noise):
-    """One noisy realization of a pulse: J' = J(1+a), T' = T + t.
+def draw_errors(rng, duration_s, noise):
+    """One physical error draw (a, t) for a pulse of nominal duration_s.
 
-    `a` and `t` are zero-mean draws with standard deviations sigma_a and
-    sigma_t_s.  Unphysical draws (T' <= 0, or J' < 0 in extreme amplitude
-    regimes) are resampled up to MAX_RESAMPLES times, then
-    RejectedSampleError is raised.  Deterministic for a given rng state.
+    `a` is the relative amplitude error and `t` the timing shift, zero-mean
+    with standard deviations sigma_a and sigma_t_s.  Unphysical draws
+    (duration_s + t <= 0, or a < -1) are resampled up to MAX_RESAMPLES
+    times, then RejectedSampleError is raised.  Returns (a, t, rejected),
+    with `rejected` the number of discarded draws.  Deterministic for a
+    given rng state.
     """
-    pulse, _ = sample_pulse_counted(rng, nominal, noise)
-    return pulse
-
-
-def sample_pulse_counted(rng, nominal, noise):
-    """Like sample_pulse, but also returns the number of rejected draws."""
     rejected = 0
     while True:
         amp = _draw(rng, noise.distribution, noise.sigma_a)
         shift = _draw(rng, noise.distribution, noise.sigma_t_s)
-        duration = nominal.duration_s + shift
-        if duration > 0.0 and amp >= -1.0:
-            return _scaled_pulse(nominal, 1.0 + amp, duration), rejected
+        if duration_s + shift > 0.0 and amp >= -1.0:
+            return amp, shift, rejected
         rejected += 1
         if rejected > MAX_RESAMPLES:
             raise RejectedSampleError(
                 f"no physical pulse after {MAX_RESAMPLES} resamples "
-                f"(nominal T {nominal.duration_s:.3e} s, sigma_t {noise.sigma_t_s:.3e} s, "
+                f"(nominal T {duration_s:.3e} s, sigma_t {noise.sigma_t_s:.3e} s, "
                 f"sigma_a {noise.sigma_a:.3e})"
             )
+
+
+def sample_pulse(rng, nominal, noise):
+    """One noisy realization of a pulse: J' = J(1+a), T' = T + t.
+
+    The errors come from draw_errors, so the same rng state gives the same
+    (a, t) and the same resample-then-fail behaviour.
+    """
+    amp, shift, _ = draw_errors(rng, nominal.duration_s, noise)
+    return _scaled_pulse(nominal, 1.0 + amp, nominal.duration_s + shift)
 
 
 def _scaled_pulse(nominal, amp_factor, duration):

@@ -83,7 +83,7 @@ class TestApplyChannel:
     def test_identity_channel_preserves_state(self):
         rho = plus_zero_density()
         np.testing.assert_allclose(
-            dephasing.apply_channel(dephasing.identity_channel(), rho), rho, atol=1e-15
+            dephasing.apply_channel(dephasing.QuantumChannel4(kraus=(core.IDENT_4,)), rho), rho, atol=1e-15
         )
 
     def test_trace_hermiticity_positivity_preserved(self):
@@ -123,7 +123,7 @@ class TestEntanglementFidelity:
 
     def test_exact_gate_no_noise_scores_one(self):
         u = gates.exchange_unitary(math.pi / 2)
-        ch = dephasing.compose_channel_after_unitary(dephasing.identity_channel(), u)
+        ch = dephasing.compose_channel_after_unitary(dephasing.QuantumChannel4(kraus=(core.IDENT_4,)), u)
         assert dephasing.entanglement_fidelity(ch, gates.swap_power_target(0.5)) == pytest.approx(
             1.0, abs=1e-13
         )

@@ -197,12 +197,6 @@ class TestRelativeErrorToPhaseError:
             gates.relative_error_to_phase_error(1.0, 1.5, 0.0)
 
 
-def test_wrap_phase():
-    assert gates.wrap_phase(3 * math.pi) == pytest.approx(math.pi, abs=1e-12)
-    assert gates.wrap_phase(-math.pi) == pytest.approx(math.pi, abs=1e-12)
-    assert gates.wrap_phase(0.3) == pytest.approx(0.3, abs=1e-15)
-
-
 def test_pulse_for_target_hits_area():
     p = gates.pulse_for_target(0.5, 5e-9)
     assert gates.phase_from_pulse(p) == pytest.approx(math.pi / 2, rel=1e-14)

@@ -1,14 +1,15 @@
 """Tests for the Monte Carlo infidelity estimator and parameter sweeps."""
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from exchsim import dephasing, gates, montecarlo
+from exchsim import core, dephasing, gates, montecarlo
 from exchsim.montecarlo import McConfig, estimate_infidelity, substream, sweep
-from exchsim.noise import ControlNoiseSpec, sample_pulse_counted
+from exchsim.noise import ControlNoiseSpec, draw_errors, sample_pulse
 
 T2 = 0.5e-3
 
@@ -101,6 +102,19 @@ class TestEstimator:
         result = estimate_infidelity(make_config(n=50))
         assert result.histogram[0] == 50
 
+    def test_relative_precision_holds_at_tiny_infidelity(self):
+        # Without jitter every sample is (3/4) sin^2(theta a / 2) with a
+        # proportional to sigma_a, so the mean scales as sigma_a^2 exactly up
+        # to rounding, even where 1 - fidelity would cancel to nothing.
+        def mean(sigma_a):
+            cfg = make_config(n=2_000, seed=18, sigma_a=sigma_a)
+            return estimate_infidelity(cfg).mean_infidelity
+
+        reference = mean(1e-6)
+        for sigma_a in (1e-7, 1e-8):
+            ratio = mean(sigma_a) / reference * (1e-6 / sigma_a) ** 2
+            assert abs(ratio - 1.0) <= 1e-10
+
     def test_stderr_scales_as_inverse_sqrt_n(self):
         small = estimate_infidelity(make_config(n=4_000, seed=6, sigma_a=1e-3))
         large = estimate_infidelity(make_config(n=16_000, seed=6, sigma_a=1e-3))
@@ -119,6 +133,21 @@ class TestDeterminism:
         parallel = estimate_infidelity(cfg, n_workers=workers)
         assert serial == parallel
 
+    @pytest.mark.parametrize("cpus, pools", [(8, [3]), (2, [2]), (None, [])])
+    def test_thread_count_is_bounded(self, monkeypatch, cpus, pools):
+        started = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+        cfg = make_config(n=3, seed=19, sigma_a=1e-3)
+        assert estimate_infidelity(cfg, n_workers=64) == estimate_infidelity(cfg)
+        assert started == pools
+
     def test_different_seeds_differ(self):
         a = estimate_infidelity(make_config(n=500, seed=9, sigma_a=1e-3))
         b = estimate_infidelity(make_config(n=500, seed=10, sigma_a=1e-3))
@@ -133,13 +162,59 @@ class TestSamplePathMatchesPublicOps:
         target = gates.swap_power_target(cfg.target_alpha)
         values = []
         for i in range(cfg.n_samples):
-            pulse, _ = sample_pulse_counted(substream(cfg.seed, i), cfg.nominal, eff_noise)
+            pulse = sample_pulse(substream(cfg.seed, i), cfg.nominal, eff_noise)
             u = gates.exchange_unitary(gates.phase_from_pulse(pulse))
             channel = dephasing.compose_channel_after_unitary(
                 dephasing.dephasing_channel(pulse.duration_s, cfg.dephasing), u
             )
             values.append(1.0 - dephasing.entanglement_fidelity(channel, target))
         assert result.mean_infidelity == pytest.approx(float(np.mean(values)), rel=1e-9)
+
+    PROFILE = gates.profile_pulse(((0.0, 2e8), (2.5e-9, 4e8), (5e-9, 2e8)))  # theta = 0.75
+
+    @pytest.mark.parametrize(
+        "nominal, alpha, noise, spec, sensitivity",
+        [
+            (PROFILE, 0.25, ControlNoiseSpec(2e-3, 5e-12), dephasing.DephasingSpec(1e-4), 1.0),
+            (gates.pulse_for_target(0.5, 5e-9), 0.5,
+             ControlNoiseSpec(1e-2, 1e-11, distribution="uniform"), None, 1.0),
+            (gates.pulse_for_target(0.5, 5e-9), 0.5, ControlNoiseSpec(1e-3, 2e-12),
+             dephasing.DephasingSpec(2e-6, 7e-5), 1.0),
+            (gates.pulse_for_target(0.52, 5e-9), 0.5, ControlNoiseSpec(1e-3, 0.0), None, 1.0),
+            (gates.pulse_for_target(1.0, 2e-8), 1.0, ControlNoiseSpec(5e-3, 1e-11),
+             dephasing.DephasingSpec(5e-4), 0.3),
+            (gates.pulse_for_target(0.5, 5e-9), 0.5, ControlNoiseSpec(0.2, 1e-10),
+             dephasing.DephasingSpec(5e-9, 2e-8), 1.0),
+            (gates.pulse_for_target(0.5, 5e-9), 0.5, ControlNoiseSpec(1e-2, 5e-9), None, 1.0),
+        ],
+        ids=["profile", "uniform", "asymmetric-t2", "detuned", "sensitivity", "strong-noise",
+             "rejections"],
+    )
+    def test_sample_value_equals_kraus_oracle(self, nominal, alpha, noise, spec, sensitivity):
+        # An n = 1 estimate's mean is the value of sample 0 of its seed.
+        target = gates.swap_power_target(alpha)
+        eff_noise = replace(noise, sigma_a=sensitivity * noise.sigma_a)
+        total_rejected = 0
+        for seed in range(40):
+            cfg = McConfig(n_samples=1, seed=seed, target_alpha=alpha, nominal=nominal,
+                           noise=noise, dephasing=spec, sensitivity=sensitivity)
+            result = estimate_infidelity(cfg)
+            pulse = sample_pulse(substream(seed, 0), nominal, eff_noise)
+            noise_channel = (
+                dephasing.dephasing_channel(pulse.duration_s, spec)
+                if spec is not None
+                else dephasing.QuantumChannel4(kraus=(core.IDENT_4,))
+            )
+            channel = dephasing.compose_channel_after_unitary(
+                noise_channel, gates.exchange_unitary(gates.phase_from_pulse(pulse))
+            )
+            oracle = 1.0 - dephasing.entanglement_fidelity(channel, target)
+            assert result.mean_infidelity == pytest.approx(oracle, rel=1e-9, abs=1e-15)
+            _, _, rejected = draw_errors(substream(seed, 0), nominal.duration_s, eff_noise)
+            assert result.n_rejected == rejected
+            total_rejected += rejected
+        if noise.sigma_t_s >= nominal.duration_s:
+            assert total_rejected > 0
 
 
 class TestSweep:

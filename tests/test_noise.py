@@ -92,7 +92,7 @@ class TestSamplePulse:
         rejected = 0
         n = 2_000_000
         for _ in range(n):
-            _, rej = noise.sample_pulse_counted(rng, NOMINAL, spec)
+            _, _, rej = noise.draw_errors(rng, NOMINAL.duration_s, spec)
             rejected += rej
         assert rejected <= 8
 
@@ -102,7 +102,7 @@ class TestSamplePulse:
         )
         rng = _rng(10)
         for _ in range(10_000):
-            _, rej = noise.sample_pulse_counted(rng, NOMINAL, spec)
+            _, _, rej = noise.draw_errors(rng, NOMINAL.duration_s, spec)
             assert rej == 0
 
     def test_resample_exhaustion_raises(self):

@@ -16,7 +16,7 @@ strict mode, since band-integrated noise figures already reflect it.
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 from .noise import ControlNoiseSpec
 
@@ -63,16 +63,6 @@ class TechnologySpec:
             bw_high_hz=self.bw_high_hz,
         )
 
-    def noise_spec(self, distribution="gaussian"):
-        """The sampling-ready ControlNoiseSpec for this technology."""
-        return ControlNoiseSpec(
-            sigma_a=self.sigma_a,
-            sigma_t_s=self.sigma_t_s,
-            distribution=distribution,
-            bw_low_hz=self.bw_low_hz,
-            bw_high_hz=self.bw_high_hz,
-        )
-
 
 @dataclass(frozen=True)
 class Threshold:
@@ -81,8 +71,7 @@ class Threshold:
     epsilon: float
 
     def __post_init__(self):
-        if not (0.0 < self.epsilon < 1.0):
-            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon!r}")
+        _check_epsilon(self.epsilon)
 
 
 @dataclass(frozen=True)
@@ -246,18 +235,6 @@ def builtin_catalog():
 # ---------------------------------------------------------------------------
 # Spec-file ingestion (INI grammar; see README for the full schema)
 
-_PLATFORM_KEYS = {"t2_seconds": True, "sensitivity": True}
-_TECHNOLOGY_KEYS = {
-    "name": True,
-    "sigma_a": True,
-    "sigma_t_seconds": True,
-    "bw_low_hz": True,
-    "bw_high_hz": True,
-    "notes": False,
-}
-_THRESHOLD_KEYS = {"epsilon": True}
-
-
 @dataclass(frozen=True)
 class LoadedSpecs:
     """Validated records parsed from one spec file."""
@@ -277,18 +254,38 @@ def _parse_number(section, key, raw):
     return value
 
 
-def _check_keys(section, present, allowed):
-    for key in present:
-        if key not in allowed:
+# Per section: the record type and its (ini key, field, float|str) rows, in
+# the order keys are checked and parsed.  A key is required unless its field
+# has a default.
+_SCHEMA = {
+    "platform": (PlatformSpec, (("t2_seconds", "t2_s", float),
+                                ("sensitivity", "sensitivity", float))),
+    "technology": (TechnologySpec, (("name", "name", str),
+                                    ("sigma_a", "sigma_a", float),
+                                    ("sigma_t_seconds", "sigma_t_s", float),
+                                    ("bw_low_hz", "bw_low_hz", float),
+                                    ("bw_high_hz", "bw_high_hz", float),
+                                    ("notes", "notes", str))),
+    "threshold": (Threshold, (("epsilon", "epsilon", float),)),
+}
+
+
+def _build(section, items, record, rows):
+    keys = [key for key, _, _ in rows]
+    for key in items:
+        if key not in keys:
             raise SpecFileError(f"{section}: unknown key {key!r}")
-    for key, required in allowed.items():
-        if required and key not in present:
+    optional = {f.name for f in fields(record) if f.default is not MISSING}
+    for key, field, _ in rows:
+        if key not in items and field not in optional:
             raise SpecFileError(f"{section}: missing required key {key!r}")
-
-
-def _build(section, factory, kwargs):
+    kwargs = {
+        field: _parse_number(section, key, items[key]) if kind is float else items[key]
+        for key, field, kind in rows
+        if key in items
+    }
     try:
-        return factory(**kwargs)
+        return record(**kwargs)
     except ValueError as exc:
         raise SpecFileError(f"{section}: {exc}") from None
 
@@ -308,50 +305,16 @@ def load_specs(text):
     except configparser.Error as exc:
         raise SpecFileError(f"unparseable spec file: {exc}") from None
 
-    platform = None
-    threshold = None
-    technologies = []
+    records = {kind: [] for kind in _SCHEMA}
     for section in parser.sections():
-        items = dict(parser.items(section))
-        if section == "platform":
-            _check_keys(section, items, _PLATFORM_KEYS)
-            platform = _build(
-                section,
-                PlatformSpec,
-                {
-                    "t2_s": _parse_number(section, "t2_seconds", items["t2_seconds"]),
-                    "sensitivity": _parse_number(section, "sensitivity", items["sensitivity"]),
-                },
-            )
-        elif section == "threshold":
-            _check_keys(section, items, _THRESHOLD_KEYS)
-            threshold = _build(
-                section,
-                Threshold,
-                {"epsilon": _parse_number(section, "epsilon", items["epsilon"])},
-            )
-        elif section == "technology" or section.startswith("technology."):
-            _check_keys(section, items, _TECHNOLOGY_KEYS)
-            technologies.append(
-                _build(
-                    section,
-                    TechnologySpec,
-                    {
-                        "name": items["name"],
-                        "sigma_a": _parse_number(section, "sigma_a", items["sigma_a"]),
-                        "sigma_t_s": _parse_number(
-                            section, "sigma_t_seconds", items["sigma_t_seconds"]
-                        ),
-                        "bw_low_hz": _parse_number(section, "bw_low_hz", items["bw_low_hz"]),
-                        "bw_high_hz": _parse_number(section, "bw_high_hz", items["bw_high_hz"]),
-                        "notes": items.get("notes", ""),
-                    },
-                )
-            )
-        else:
+        kind = "technology" if section.startswith("technology.") else section
+        if kind not in _SCHEMA:
             raise SpecFileError(f"unknown section {section!r}")
+        records[kind].append(_build(section, dict(parser.items(section)), *_SCHEMA[kind]))
     return LoadedSpecs(
-        platform=platform, technologies=tuple(technologies), threshold=threshold
+        platform=next(iter(records["platform"]), None),
+        technologies=tuple(records["technology"]),
+        threshold=next(iter(records["threshold"]), None),
     )
 
 

@@ -203,16 +203,7 @@ def cmd_feasibility(args):
             "technology": asdict(tech),
             "epsilon": epsilon,
             "strict_bandwidth": args.strict_bandwidth,
-            "feasible": report.feasible,
-            "t_window_s": list(report.t_window_s) if report.t_window_s else None,
-            "t_min_s": report.t_min_s,
-            "t_max_s": report.t_max_s,
-            "jitter_floor_s": report.jitter_floor_s,
-            "limiting_constraints": list(report.limiting_constraints),
-            "improvement_factors": report.improvement_factors,
-            "required_bandwidth_hz": report.required_bandwidth_hz,
-            "required_bandwidth_at_t_min_hz": report.required_bandwidth_at_t_min_hz,
-            "bandwidth_ok": report.bandwidth_ok,
+            **vars(report),  # not asdict: no deep copy; _jsonable lists the tuples
         },
     )
     _write_manifest(
@@ -349,6 +340,8 @@ def cmd_sweep(args):
     values = [float(v) for v in args.values.split(",") if v.strip()]
     if not values:
         raise ValueError("--values must contain at least one number")
+    if any(math.isnan(v) for v in values):
+        raise ValueError(f"--values must not contain nan, got {args.values!r}")
     points = montecarlo.sweep(cfg, args.axis, values, n_workers=args.workers)
 
     os.makedirs(args.out, exist_ok=True)

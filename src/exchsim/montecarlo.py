@@ -37,6 +37,9 @@ BLOCK = 8192
 # Sample i: the first two words of Philox4x64 counter block i under key
 # (seed, 0), Box-Muller for gaussian noise, redraws under key (seed, attempt).
 RNG_SCHEME = "philox4x64-counter-block-v2"
+# The largest Box-Muller radius, sqrt(-2 ln 2**-53) at u0 = 1 - 2**-53;
+# uniform draws reach only sqrt(3).
+_MAX_RADIUS = math.sqrt(106.0 * math.log(2.0))
 
 HIST_N_BINS = 64
 # Log-spaced bins over [1e-16, 1]; values below the range clamp into bin 0.
@@ -68,6 +71,20 @@ class McConfig:
         object.__setattr__(self, "seed", int(self.seed))
         if not (math.isfinite(self.sensitivity) and self.sensitivity >= 0.0):
             raise ValueError(f"sensitivity must be >= 0 and finite, got {self.sensitivity!r}")
+        # Draws reach _MAX_RADIUS sigma, so the relative errors |a| and
+        # |s| = |t| / T stay below x = _MAX_RADIUS max(sigma_rel): the pulse-area
+        # error theta0 (a + s + a s) below theta0 x (2 + x) and the realized
+        # duration below T (1 + x).  Past the largest x for which both bounds
+        # are finite, some draw overflows and its score turns nan.
+        duration = self.nominal.duration_s
+        sigmas = {"sensitivity * sigma_a": self.sensitivity * self.noise.sigma_a,
+                  "sigma_t_s / duration": self.noise.sigma_t_s / duration}
+        name = max(sigmas, key=sigmas.get)
+        x = _MAX_RADIUS * sigmas[name]
+        theta0 = abs(phase_from_pulse(self.nominal))
+        if not math.isfinite(theta0 * x * (2.0 + x) + duration * (1.0 + x)):
+            raise ValueError(f"{name} = {sigmas[name]!r} is too large: the errors of a "
+                             f"{_MAX_RADIUS:.2f}-sigma draw overflow")
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,10 @@ map from optical intensity to exchange strength for photo-modulated
 barriers.
 
 The noise model is white-over-band and quasi-static per pulse: each gate
-draws one relative-amplitude scalar and one timing scalar.  The scalar
-helpers take a caller-owned RNG; draw_errors_block derives the draws of a
-range of samples from (seed, sample index) alone, so parallel callers get
-the same draws for any partition.
+draws one relative-amplitude scalar and one timing scalar.
+draw_errors_block derives the draws of a range of samples from (seed,
+sample index) alone, so parallel callers get the same draws for any
+partition.
 """
 
 import math
@@ -58,48 +58,9 @@ class ControlNoiseSpec:
             )
 
 
-def _draw(rng, distribution, sigma):
-    if distribution == "gaussian":
-        return float(rng.normal(0.0, sigma))
-    # Zero-mean uniform with standard deviation sigma has half-width sigma*sqrt(3).
-    half_width = sigma * math.sqrt(3.0)
-    return float(rng.uniform(-half_width, half_width))
-
-
 def _is_physical(duration_s, amp, shift):
-    # Works on scalars and on arrays alike: the pulse keeps a positive
-    # duration and a non-negative exchange strength.
+    # The pulse keeps a positive duration and a non-negative exchange strength.
     return (duration_s + shift > 0.0) & (amp >= -1.0)
-
-
-def _no_physical_pulse(duration_s, noise, sample=None):
-    where = "" if sample is None else f" for sample {sample}"
-    return RejectedSampleError(
-        f"no physical pulse{where} after {MAX_RESAMPLES} resamples "
-        f"(nominal T {duration_s:.3e} s, sigma_t {noise.sigma_t_s:.3e} s, "
-        f"sigma_a {noise.sigma_a:.3e})"
-    )
-
-
-def draw_errors(rng, duration_s, noise):
-    """One physical error draw (a, t) for a pulse of nominal duration_s.
-
-    `a` is the relative amplitude error and `t` the timing shift, zero-mean
-    with standard deviations sigma_a and sigma_t_s.  Unphysical draws
-    (duration_s + t <= 0, or a < -1) are resampled up to MAX_RESAMPLES
-    times, then RejectedSampleError is raised.  Returns (a, t, rejected),
-    with `rejected` the number of discarded draws.  Deterministic for a
-    given rng state.
-    """
-    rejected = 0
-    while True:
-        amp = _draw(rng, noise.distribution, noise.sigma_a)
-        shift = _draw(rng, noise.distribution, noise.sigma_t_s)
-        if _is_physical(duration_s, amp, shift):
-            return amp, shift, rejected
-        rejected += 1
-        if rejected > MAX_RESAMPLES:
-            raise _no_physical_pulse(duration_s, noise)
 
 
 def _block_errors(seed, attempt, start, stop, noise):
@@ -140,18 +101,24 @@ def draw_errors_block(seed, start, stop, duration_s, noise):
         shift[bad] = redraw_shift[bad]
         bad &= ~_is_physical(duration_s, amp, shift)
     if bad.any():
-        raise _no_physical_pulse(duration_s, noise, sample=start + int(np.flatnonzero(bad)[0]))
+        raise RejectedSampleError(
+            f"no physical pulse for sample {start + int(np.flatnonzero(bad)[0])} after "
+            f"{MAX_RESAMPLES} resamples (nominal T {duration_s:.3e} s, "
+            f"sigma_t {noise.sigma_t_s:.3e} s, sigma_a {noise.sigma_a:.3e})"
+        )
     return amp, shift, rejected
 
 
 def sample_pulse(rng, nominal, noise):
     """One noisy realization of a pulse: J' = J(1+a), T' = T + t.
 
-    The errors come from draw_errors, so the same rng state gives the same
-    (a, t) and the same resample-then-fail behaviour.
+    Takes one 64-bit key from rng and returns sample 0 of draw_errors_block
+    under that key, so the same rng state gives the same (a, t) and the
+    same resample-then-fail behaviour as the Monte Carlo estimator.
     """
-    amp, shift, _ = draw_errors(rng, nominal.duration_s, noise)
-    return realized_pulse(nominal, amp, shift)
+    key = int(rng.integers(2**64, dtype=np.uint64))
+    amp, shift, _ = draw_errors_block(key, 0, 1, nominal.duration_s, noise)
+    return realized_pulse(nominal, amp[0], shift[0])
 
 
 def realized_pulse(nominal, amp, shift):

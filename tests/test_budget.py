@@ -1,6 +1,8 @@
 """Tests for the feasibility calculus, builtin catalog, and spec-file loading."""
 
 import math
+import re
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -216,7 +218,8 @@ class TestBuiltinCatalog:
 
     def test_entries_pass_invariants(self):
         for tech in budget.builtin_catalog():
-            tech.noise_spec()  # raises if any invariant is violated
+            # rebuilding reruns the invariants (those of ControlNoiseSpec included)
+            assert budget.TechnologySpec(**asdict(tech)) == tech
 
     def test_merge_rejects_collisions(self):
         with pytest.raises(ValueError, match="collision"):
@@ -245,6 +248,32 @@ class TestLoadSpecs:
     def test_missing_platform_key(self):
         with pytest.raises(budget.SpecFileError, match="t2_seconds"):
             budget.load_specs("[platform]\nsensitivity = 1.0\n")
+
+    @pytest.mark.parametrize("section, key", [
+        ("platform", "t2_seconds"), ("platform", "sensitivity"),
+        ("technology", "name"), ("technology", "sigma_a"), ("technology", "sigma_t_seconds"),
+        ("technology", "bw_low_hz"), ("technology", "bw_high_hz"),
+        ("threshold", "epsilon"),
+    ])
+    def test_every_required_key_is_required(self, section, key):
+        lines = ELECTRICAL_INI.splitlines()
+        start = lines.index(f"[{section}]")
+        drop = next(i for i in range(start, len(lines)) if lines[i].startswith(f"{key} = "))
+        text = "\n".join(lines[:drop] + lines[drop + 1:]) + "\n"
+        message = f"{section}: missing required key {key!r}"
+        with pytest.raises(budget.SpecFileError, match=re.escape(message)):
+            budget.load_specs(text)
+
+    def test_notes_are_optional(self):
+        lines = ELECTRICAL_INI.splitlines(keepends=True)
+        text = "".join(line for line in lines if not line.startswith("notes = "))
+        (tech,) = budget.load_specs(text).technologies
+        assert tech.notes == ""
+        assert tech == replace(ELECTRICAL, notes="")
+
+    def test_unknown_key_is_reported_before_missing_key(self):
+        with pytest.raises(budget.SpecFileError, match="platform: unknown key 'extra'"):
+            budget.load_specs("[platform]\nextra = 1\n")
 
     def test_unknown_key_rejected(self):
         with pytest.raises(budget.SpecFileError, match="unknown key"):

@@ -1,5 +1,6 @@
 """Tests for the command-line interface: exit codes, outputs, determinism."""
 
+import csv
 import json
 import math
 
@@ -159,7 +160,9 @@ class TestGateCommand:
 
 class TestMcCommand:
     def test_csv_is_byte_identical_across_runs_and_workers(self, tmp_path, capsys):
-        args = ["mc", "--alpha", "0.5", "--sigma-a", "1e-3", "--n", "4000", "--seed", "7"]
+        # three blocks, the last ragged, so --workers 4 really starts a pool
+        n = str(2 * montecarlo.BLOCK + 1)
+        args = ["mc", "--alpha", "0.5", "--sigma-a", "1e-3", "--n", n, "--seed", "7"]
         outs = [tmp_path / name for name in ("a", "b", "c")]
         assert cli.main(args + ["--out", str(outs[0])]) == 0
         assert cli.main(args + ["--out", str(outs[1])]) == 0
@@ -318,3 +321,62 @@ class TestCatalogCommand:
         assert rc == 0
         report = json.loads(read_bytes(tmp_path / "out" / "feasibility.json"))
         assert report["technology"]["name"] == "house-generator"
+
+
+FUZZ_VALUES = ["nan", "inf", "-inf", "-1", "0", "", "1e308"]
+MC_FLAGS = ["--alpha", "--duration", "--sigma-a", "--sigma-t", "--t2", "--sensitivity",
+            "--n", "--seed", "--workers"]
+MC_BASE = {"--n": "50", "--seed": "3", "--sigma-a": "1e-3", "--sigma-t": "1e-12",
+           "--t2": "1e-3"}
+FUZZ_BASES = {
+    "mc": (MC_BASE, MC_FLAGS),
+    "sweep": ({**MC_BASE, "--axis": "sigma_a", "--values": "1e-3"}, MC_FLAGS),
+    "feasibility": ({"--t2": "5e-4", "--sensitivity": "1", "--sigma-a": "1e-3",
+                     "--sigma-t": "1e-12"},
+                    ["--t2", "--sensitivity", "--sigma-a", "--sigma-t", "--bw-low", "--bw-high",
+                     "--epsilon"]),
+    "gate": ({"--alpha": "0.5", "--dj": "1e-3"}, ["--alpha", "--phase-error", "--dj", "--dt"]),
+}
+
+
+def fuzz_cases():
+    """Each numeric flag of each command, and --values on each sweep axis."""
+    for command, (base, flags) in FUZZ_BASES.items():
+        for flag in flags:
+            yield pytest.param(command, base, flag, id=f"{command} {flag}")
+    for axis in montecarlo.SWEEP_AXES:
+        yield pytest.param("sweep", {**FUZZ_BASES["sweep"][0], "--axis": axis}, "--values",
+                           id=f"sweep --axis={axis} --values")
+
+
+def has_nan(value):
+    if isinstance(value, dict):
+        return any(has_nan(v) for v in value.values())
+    if isinstance(value, list):
+        return any(has_nan(v) for v in value)
+    return value == "nan" or (isinstance(value, float) and math.isnan(value))
+
+
+@pytest.mark.parametrize("command, base, flag", fuzz_cases())
+def test_numeric_flag_exits_0_or_2_without_traceback_or_nan_output(tmp_path, capsys,
+                                                                    command, base, flag):
+    for k, value in enumerate(FUZZ_VALUES):
+        options = {**base, flag: value}
+        if flag == "--phase-error":
+            del options["--dj"]  # the two error inputs exclude each other
+        argv = [command] + [f"{name}={v}" for name, v in options.items()]
+        out = tmp_path / str(k)
+        if command != "gate":
+            argv.append(f"--out={out}")
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects a non-number with status 2
+            rc = exc.code
+        captured = capsys.readouterr()
+        assert rc in (0, 2), argv
+        assert "Traceback" not in captured.err, argv
+        for path in out.glob("*.csv"):
+            with open(path, newline="") as fh:
+                assert not any(has_nan(row) for row in csv.reader(fh)), argv
+        for path in out.glob("*.json"):
+            assert not has_nan(json.loads(read_bytes(path))), argv

@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo infidelity estimator and parameter sweeps."""
 
 import math
+import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -37,6 +38,24 @@ class TestConfigValidation:
             make_config(seed=-1)
         with pytest.raises(ValueError, match="seed"):
             make_config(seed=2**64)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"sigma_a": 1e154}, "sensitivity * sigma_a"),
+        ({"sigma_a": 1e-3, "sensitivity": 1e308}, "sensitivity * sigma_a"),
+        ({"sigma_t": 1e308}, "sigma_t_s / duration"),
+        # sigma_t / T = 1, but T + t overflows
+        ({"alpha": 0.0, "duration": 1e308, "sigma_t": 1e308}, "sigma_t_s / duration"),
+    ])
+    def test_rejects_noise_whose_extreme_draw_overflows(self, kwargs, name):
+        with pytest.raises(ValueError, match=re.escape(name)):
+            make_config(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [{"sigma_a": 1e153}, {"sigma_t": 5e-9 * 1e153}])
+    def test_noise_just_inside_the_bound_scores_finite(self, kwargs):
+        cfg = make_config(n=BLOCK, **kwargs)
+        result = estimate_infidelity(cfg)
+        assert math.isfinite(result.mean_infidelity) and math.isfinite(result.stderr)
+        assert math.isfinite(montecarlo.analytic_infidelity(cfg))
 
     def test_rejects_bad_worker_count(self):
         with pytest.raises(ValueError, match="n_workers"):

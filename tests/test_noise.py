@@ -42,35 +42,6 @@ class TestSamplePulse:
         b = noise.sample_pulse(_rng(42), NOMINAL, spec)
         assert a == b
 
-    def test_moments_over_one_million_draws(self):
-        sigma_a, sigma_t = 2e-3, 5e-12
-        spec = noise.ControlNoiseSpec(sigma_a=sigma_a, sigma_t_s=sigma_t)
-        rng = _rng(7)
-        n = 1_000_000
-        amp_ratios = np.empty(n)
-        t_shifts = np.empty(n)
-        for i in range(n):
-            sampled = noise.sample_pulse(rng, NOMINAL, spec)
-            amp_ratios[i] = sampled.j_rad_per_s / NOMINAL.j_rad_per_s
-            t_shifts[i] = sampled.duration_s - NOMINAL.duration_s
-        # law of large numbers: mean of J'/J within 5 standard errors of 1
-        stderr = sigma_a / math.sqrt(n)
-        assert abs(amp_ratios.mean() - 1.0) < 5 * stderr
-        # estimator consistency: sample stddev of T'-T within 1%
-        assert np.std(t_shifts, ddof=1) == pytest.approx(sigma_t, rel=0.01)
-
-    def test_uniform_draws_are_bounded_with_matching_stddev(self):
-        sigma_a = 1e-2
-        spec = noise.ControlNoiseSpec(sigma_a=sigma_a, sigma_t_s=0.0, distribution="uniform")
-        rng = _rng(8)
-        ratios = np.array(
-            [noise.sample_pulse(rng, NOMINAL, spec).j_rad_per_s / NOMINAL.j_rad_per_s
-             for _ in range(200_000)]
-        )
-        half_width = sigma_a * math.sqrt(3.0)
-        assert np.max(np.abs(ratios - 1.0)) <= half_width * (1 + 1e-12)
-        assert np.std(ratios, ddof=1) == pytest.approx(sigma_a, rel=0.02)
-
     def test_profile_pulse_scales_amplitude_and_stretches_time(self):
         prof = gates.profile_pulse(((0.0, 1e9), (0.5e-9, 2e9), (1e-9, 1e9)))
         spec = noise.ControlNoiseSpec(sigma_a=5e-2, sigma_t_s=2e-10)
@@ -82,38 +53,36 @@ class TestSamplePulse:
             assert t1 == pytest.approx(t0 * stretch, rel=1e-12)
             assert j1 == pytest.approx(j0 * amp, rel=1e-12)
 
-    def test_gaussian_rejection_fraction_is_tiny_at_sigma_t_below_t_over_5(self):
-        # analytic rejection probability at the boundary sigma_t = T/5 is
-        # 0.5 * erfc(5 / sqrt(2)) ~ 2.9e-7 < 1e-6; counting over 2e6 draws
-        # should see at most a handful of resamples
-        bound = 0.5 * math.erfc(5.0 / math.sqrt(2.0))
-        assert bound < 1e-6
-        spec = noise.ControlNoiseSpec(sigma_a=0.0, sigma_t_s=NOMINAL.duration_s / 5.0)
-        rng = _rng(9)
-        rejected = 0
-        n = 2_000_000
-        for _ in range(n):
-            _, _, rej = noise.draw_errors(rng, NOMINAL.duration_s, spec)
-            rejected += rej
-        assert rejected <= 8
+    def test_resample_exhaustion_raises(self, monkeypatch):
+        spec = noise.ControlNoiseSpec(sigma_a=0.0, sigma_t_s=NOMINAL.duration_s)
+        seed = 7  # the first draw under this seed's key has T + t <= 0
+        key = int(_rng(seed).integers(2**64, dtype=np.uint64))
+        assert noise.draw_errors_block(key, 0, 1, NOMINAL.duration_s, spec)[2][0] > 0
+        monkeypatch.setattr(noise, "MAX_RESAMPLES", 0)
+        with pytest.raises(noise.RejectedSampleError, match="sample 0 after 0 resamples"):
+            noise.sample_pulse(_rng(seed), NOMINAL, spec)
 
-    def test_uniform_rejection_is_impossible_below_t_over_5(self):
-        spec = noise.ControlNoiseSpec(
-            sigma_a=0.0, sigma_t_s=NOMINAL.duration_s / 5.0, distribution="uniform"
-        )
-        rng = _rng(10)
-        for _ in range(10_000):
-            _, _, rej = noise.draw_errors(rng, NOMINAL.duration_s, spec)
-            assert rej == 0
+    @pytest.mark.parametrize("nominal", [
+        NOMINAL, gates.profile_pulse(((0.0, 1e9), (0.5e-9, 2e9), (1e-9, 1e9))),
+    ], ids=["constant", "profile"])
+    @pytest.mark.parametrize("spec", [
+        noise.ControlNoiseSpec(sigma_a=2e-3, sigma_t_s=5e-12),
+        # sigma_t = T and sigma_a = 0.5: many first draws are redrawn
+        noise.ControlNoiseSpec(sigma_a=0.5, sigma_t_s=NOMINAL.duration_s),
+    ], ids=["gaussian", "gaussian-rejections"])
+    def test_equals_sample_zero_of_the_block_under_a_key_from_the_rng(self, nominal, spec):
+        for seed in range(40):
+            key = int(_rng(seed).integers(2**64, dtype=np.uint64))
+            a, t, _ = noise.draw_errors_block(key, 0, 1, nominal.duration_s, spec)
+            expected = noise.realized_pulse(nominal, a[0], t[0])
+            assert noise.sample_pulse(_rng(seed), nominal, spec) == expected
 
-    def test_resample_exhaustion_raises(self):
-        class AlwaysNegative:
-            def normal(self, loc, scale):
-                return -2.0 * NOMINAL.duration_s if scale > 0 else 0.0
 
-        spec = noise.ControlNoiseSpec(sigma_a=0.0, sigma_t_s=1e-9)
-        with pytest.raises(noise.RejectedSampleError):
-            noise.sample_pulse(AlwaysNegative(), NOMINAL, spec)
+def block_draws(seed, n, duration_s, spec):
+    """draw_errors_block over samples 0..n-1, drawn BLOCK samples at a time."""
+    parts = [noise.draw_errors_block(seed, i, min(i + BLOCK, n), duration_s, spec)
+             for i in range(0, n, BLOCK)]
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
 def scalar_reference_draw(seed, index, duration_s, spec):
@@ -165,12 +134,35 @@ class TestDrawErrorsBlock:
             assert rejected.sum() == 0
 
     def test_moments_match_the_spec(self):
-        for name in ("gaussian", "uniform"):
+        for name, n in (("gaussian", 1_000_000), ("uniform", 200_000)):
             spec = self.SPECS[name]
-            amp, shift, _ = noise.draw_errors_block(7, 0, 200_000, self.T, spec)
+            amp, shift, _ = block_draws(7, n, self.T, spec)
+            # law of large numbers: mean within 5 standard errors of 0
+            assert abs(amp.mean()) < 5 * spec.sigma_a / math.sqrt(n)
+            # estimator consistency: sample stddevs within 1%
             assert np.std(amp, ddof=1) == pytest.approx(spec.sigma_a, rel=0.01)
             assert np.std(shift, ddof=1) == pytest.approx(spec.sigma_t_s, rel=0.01)
-            assert abs(amp.mean()) < 5 * spec.sigma_a / math.sqrt(amp.size)
+            if name == "uniform":
+                # zero-mean uniform with stddev sigma has half-width sigma*sqrt(3)
+                for draws, sigma in ((amp, spec.sigma_a), (shift, spec.sigma_t_s)):
+                    assert np.max(np.abs(draws)) <= sigma * math.sqrt(3.0) * (1 + 1e-12)
+
+    def test_gaussian_rejection_fraction_is_tiny_at_sigma_t_below_t_over_5(self):
+        # analytic rejection probability at the boundary sigma_t = T/5 is
+        # 0.5 * erfc(5 / sqrt(2)) ~ 2.9e-7 < 1e-6; counting over 2e6 draws
+        # should see at most a handful of resamples
+        bound = 0.5 * math.erfc(5.0 / math.sqrt(2.0))
+        assert bound < 1e-6
+        spec = noise.ControlNoiseSpec(sigma_a=0.0, sigma_t_s=NOMINAL.duration_s / 5.0)
+        _, _, rejected = block_draws(9, 2_000_000, NOMINAL.duration_s, spec)
+        assert rejected.sum() <= 8
+
+    def test_uniform_rejection_is_impossible_below_t_over_5(self):
+        spec = noise.ControlNoiseSpec(
+            sigma_a=0.0, sigma_t_s=NOMINAL.duration_s / 5.0, distribution="uniform"
+        )
+        _, _, rejected = block_draws(10, 10_000, NOMINAL.duration_s, spec)
+        assert not rejected.any()
 
     def test_resample_exhaustion_names_the_sample(self):
         # A negative nominal duration makes every draw unphysical.

@@ -150,8 +150,8 @@ def feasibility(platform, tech, epsilon, strict_bandwidth=False):
     """
     epsilon = _check_epsilon(epsilon)
     amp_error = platform.sensitivity * tech.sigma_a
-    t_max = epsilon * platform.t2_s
-    jitter_floor = tech.sigma_t_s / epsilon
+    t_max = max_gate_time(epsilon, platform.t2_s)
+    jitter_floor = min_gate_time_from_jitter(tech.sigma_t_s, epsilon)
     factors = dict.fromkeys(CONSTRAINTS, 1.0)
     limiting = []
 
@@ -161,7 +161,7 @@ def feasibility(platform, tech, epsilon, strict_bandwidth=False):
         t_min = math.inf
         jitter_bound = jitter_floor
     else:
-        t_min = tech.sigma_t_s / (epsilon - amp_error)
+        t_min = min_gate_time_from_jitter(tech.sigma_t_s, epsilon - amp_error)
         jitter_bound = t_min
     if tech.sigma_t_s > 0.0 and jitter_bound >= t_max:
         factors["jitter"] = jitter_bound / t_max

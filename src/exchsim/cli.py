@@ -2,9 +2,12 @@
 
 Subcommands: feasibility, gate, mc, sweep, catalog.  Verdicts are data, not
 exit codes: 0 means the analysis completed (feasible or not), 2 means bad
-input, 1 an internal failure.  Commands that emit data files write a
-manifest alongside them; with a fixed seed the primary output files are
-byte-identical across runs and worker counts.
+input, 1 an internal failure.  Each output is written from the record that
+holds its data: CSV rows from McResults, feasibility.json from the resolved
+inputs and the FeasibilityReport, and a manifest's parameters from the
+McConfig (plus workers, and a sweep's axis and values) or those same inputs.
+With a fixed seed the primary output files are byte-identical across runs
+and worker counts; manifests are not.
 """
 
 import argparse
@@ -69,7 +72,6 @@ def _write_manifest(out_dir, command, parameters, seed, outputs, started, **extr
             **extra,
         },
     )
-    return path
 
 
 def _load_spec_file(path):
@@ -196,33 +198,15 @@ def cmd_feasibility(args):
     with open(txt_path, "w") as fh:
         fh.write(text)
     json_path = os.path.join(args.out, "feasibility.json")
-    _write_json(
-        json_path,
-        {
-            "platform": {"name": platform_name, **asdict(platform)},
-            "technology": asdict(tech),
-            "epsilon": epsilon,
-            "strict_bandwidth": args.strict_bandwidth,
-            **vars(report),  # not asdict: no deep copy; _jsonable lists the tuples
-        },
-    )
-    _write_manifest(
-        args.out,
-        "feasibility",
-        {
-            "platform": platform_name,
-            "t2_s": platform.t2_s,
-            "sensitivity": platform.sensitivity,
-            "technology": tech.name,
-            "sigma_a": tech.sigma_a,
-            "sigma_t_s": tech.sigma_t_s,
-            "epsilon": epsilon,
-            "strict_bandwidth": args.strict_bandwidth,
-        },
-        None,
-        [txt_path, json_path],
-        started,
-    )
+    inputs = {
+        "platform": {"name": platform_name, **asdict(platform)},
+        "technology": asdict(tech),
+        "epsilon": epsilon,
+        "strict_bandwidth": args.strict_bandwidth,
+    }
+    # vars, not asdict: no deep copy; _jsonable lists the tuples
+    _write_json(json_path, {**inputs, **vars(report)})
+    _write_manifest(args.out, "feasibility", inputs, None, [txt_path, json_path], started)
     return 0
 
 
@@ -289,26 +273,20 @@ CSV_HEADER = ["axis_value", "mean_infidelity", "stderr", "analytic_prediction",
               "n_samples", "seed"]
 
 
-def _write_csv(path, rows):
-    with open(path, "w", newline="") as fh:
+def _write_mc_outputs(args, cfg, rows, started, **parameters):
+    """<command>.csv from (axis_value, McResult, analytic) rows, and its manifest."""
+    os.makedirs(args.out, exist_ok=True)
+    csv_path = os.path.join(args.out, f"{args.command}.csv")
+    with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        writer.writerows(rows)
-
-
-def _mc_manifest_params(args, cfg):
-    return {
-        "target_alpha": cfg.target_alpha,
-        "nominal_duration_s": cfg.nominal.duration_s,
-        "nominal_j_rad_per_s": cfg.nominal.j_rad_per_s,
-        "sigma_a": cfg.noise.sigma_a,
-        "sigma_t_s": cfg.noise.sigma_t_s,
-        "distribution": cfg.noise.distribution,
-        "t2_s": cfg.dephasing.t2_q1_s if cfg.dephasing else None,
-        "sensitivity": cfg.sensitivity,
-        "n_samples": cfg.n_samples,
-        "workers": args.workers,
-    }
+        for value, result, analytic in rows:
+            writer.writerow(["" if value is None else _fmt(value), _fmt(result.mean_infidelity),
+                             _fmt(result.stderr), _fmt(analytic), cfg.n_samples, cfg.seed])
+    _write_manifest(args.out, args.command,
+                    {**asdict(cfg), "workers": args.workers, **parameters}, cfg.seed,
+                    [csv_path], started, rng_scheme=montecarlo.RNG_SCHEME)
+    return csv_path
 
 
 def cmd_mc(args):
@@ -316,16 +294,7 @@ def cmd_mc(args):
     cfg = _mc_config(args)
     result = montecarlo.estimate_infidelity(cfg, n_workers=args.workers)
     analytic = montecarlo.analytic_infidelity(cfg)
-
-    os.makedirs(args.out, exist_ok=True)
-    csv_path = os.path.join(args.out, "mc.csv")
-    _write_csv(
-        csv_path,
-        [["", _fmt(result.mean_infidelity), _fmt(result.stderr), _fmt(analytic),
-          cfg.n_samples, cfg.seed]],
-    )
-    _write_manifest(args.out, "mc", _mc_manifest_params(args, cfg), cfg.seed,
-                    [csv_path], started, rng_scheme=montecarlo.RNG_SCHEME)
+    csv_path = _write_mc_outputs(args, cfg, [(None, result, analytic)], started)
     print(f"mean infidelity (dimensionless): {_fmt(result.mean_infidelity)}")
     print(f"stderr (dimensionless):          {_fmt(result.stderr)}")
     print(f"analytic prediction:             {_fmt(analytic)}")
@@ -343,22 +312,10 @@ def cmd_sweep(args):
     if any(math.isnan(v) for v in values):
         raise ValueError(f"--values must not contain nan, got {args.values!r}")
     points = montecarlo.sweep(cfg, args.axis, values, n_workers=args.workers)
-
-    os.makedirs(args.out, exist_ok=True)
-    csv_path = os.path.join(args.out, "sweep.csv")
-    _write_csv(
-        csv_path,
-        [
-            [_fmt(p.value), _fmt(p.result.mean_infidelity), _fmt(p.result.stderr),
-             _fmt(p.analytic_prediction), cfg.n_samples, cfg.seed]
-            for p in points
-        ],
+    csv_path = _write_mc_outputs(
+        args, cfg, [(p.value, p.result, p.analytic_prediction) for p in points], started,
+        axis=points[0].axis, values=values,
     )
-    params = _mc_manifest_params(args, cfg)
-    params["axis"] = montecarlo.normalize_axis(args.axis)
-    params["values"] = values
-    _write_manifest(args.out, "sweep", params, cfg.seed, [csv_path], started,
-                    rng_scheme=montecarlo.RNG_SCHEME)
     print(f"{len(points)} rows written to {csv_path}")
     return 0
 

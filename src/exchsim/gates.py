@@ -89,10 +89,17 @@ def profile_pulse(samples):
     return PulseSpec(j_rad_per_s=None, duration_s=samples[-1][0], profile=samples)
 
 
+def _checked_alpha(alpha):
+    alpha = float(alpha)
+    if not abs(alpha) <= 1e150:  # so that (pi alpha)^2 is a finite double
+        raise ValueError(f"alpha must be finite with |alpha| <= 1e150, got {alpha!r}")
+    return alpha
+
+
 def pulse_for_target(alpha, duration_s):
     """Constant pulse whose area realizes SWAP^alpha in the given duration."""
     duration_s = _checked_duration(duration_s)  # before dividing by it
-    return constant_pulse(2.0 * math.pi * float(alpha) / duration_s, duration_s)
+    return constant_pulse(2.0 * math.pi * _checked_alpha(alpha) / duration_s, duration_s)
 
 
 def phase_from_pulse(pulse):
@@ -128,9 +135,7 @@ def swap_power_target(alpha):
     exchange_unitary(pi*alpha) differs from this by the global phase
     e^{-i pi alpha / 4}, which process fidelity ignores.
     """
-    alpha = float(alpha)
-    if not math.isfinite(alpha):
-        raise ValueError("alpha must be finite")
+    alpha = _checked_alpha(alpha)
     return P_TRIPLET + np.exp(1j * math.pi * alpha) * P_SINGLET
 
 
@@ -151,12 +156,13 @@ def gate_error_vs_phase(delta_theta):
 def relative_error_to_phase_error(theta, dj_over_j, dt_over_t):
     """Exact pulse-area error from relative strength and duration errors.
 
-    delta_theta = theta * ((1 + dJ/J)(1 + dT/T) - 1); agrees with the
-    first-order form theta * (dJ/J + dT/T) to second order.
+    delta_theta = theta * ((1 + dJ/J)(1 + dT/T) - 1), summed as
+    theta * (dJ/J + dT/T + dJ/J dT/T) so that tiny errors do not cancel;
+    agrees with the first-order form theta * (dJ/J + dT/T) to second order.
     """
     _check_relative(dj_over_j, "dj_over_j")
     _check_relative(dt_over_t, "dt_over_t")
-    return float(theta) * ((1.0 + dj_over_j) * (1.0 + dt_over_t) - 1.0)
+    return float(theta) * (dj_over_j + dt_over_t + dj_over_j * dt_over_t)
 
 
 def relative_error_to_phase_error_first_order(theta, dj_over_j, dt_over_t):

@@ -46,6 +46,8 @@ HIST_N_BINS = 64
 HIST_EDGES = np.logspace(-16.0, 0.0, HIST_N_BINS + 1)
 HIST_EDGES.setflags(write=False)
 
+_NO_DEPHASING = DephasingSpec(math.inf)  # T2 = inf: flip probabilities exactly 0
+
 SWEEP_AXES = ("sigma_a", "sigma_t", "t2", "target_alpha", "epsilon")
 _AXIS_ALIASES = {"epsilon-reference-line": "epsilon", "epsilon_reference_line": "epsilon"}
 
@@ -105,8 +107,10 @@ def _effective_noise(cfg):
 
 
 def _flip_probabilities(duration_s, t2_s):
-    # flip_probability over arrays; T2 = inf gives p = 0 exactly.
-    return -0.5 * np.expm1(-duration_s / t2_s)
+    # flip_probability over arrays; T2 = inf gives p = 0 exactly.  A ratio
+    # that overflows to inf gives the right limit p = 1/2.
+    with np.errstate(over="ignore"):
+        return -0.5 * np.expm1(-duration_s / t2_s)
 
 
 def estimate_infidelity(cfg, n_workers=1):
@@ -125,8 +129,7 @@ def estimate_infidelity(cfg, n_workers=1):
     duration = cfg.nominal.duration_s
     theta0 = phase_from_pulse(cfg.nominal)
     offset = theta0 - math.pi * cfg.target_alpha
-    # No dephasing is T2 = inf, where the flip probabilities are exactly 0.
-    dephasing = cfg.dephasing or DephasingSpec(math.inf)
+    dephasing = cfg.dephasing or _NO_DEPHASING
     values = np.empty(n)
     rejected = np.empty(n, dtype=np.int64)
 
@@ -178,10 +181,9 @@ def analytic_infidelity(cfg):
         cfg.noise.sigma_t_s / cfg.nominal.duration_s
     ) ** 2
     coherent = (3.0 / 16.0) * (offset**2 + theta**2 * rel_var)
-    if cfg.dephasing is None:
-        return coherent
-    p1 = flip_probability(cfg.nominal.duration_s, cfg.dephasing.t2_q1_s)
-    p2 = flip_probability(cfg.nominal.duration_s, cfg.dephasing.t2_q2_s)
+    dephasing = cfg.dephasing or _NO_DEPHASING
+    p1 = flip_probability(cfg.nominal.duration_s, dephasing.t2_q1_s)
+    p2 = flip_probability(cfg.nominal.duration_s, dephasing.t2_q2_s)
     return coherent + (p1 + p2 - p1 * p2)
 
 

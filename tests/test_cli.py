@@ -3,10 +3,16 @@
 import csv
 import json
 import math
+import re
+from dataclasses import asdict, fields
 
 import pytest
 
-from exchsim import cli, montecarlo
+from exchsim import budget, cli, montecarlo
+from exchsim.dephasing import DephasingSpec
+from exchsim.gates import pulse_for_target
+from exchsim.montecarlo import McConfig
+from exchsim.noise import ControlNoiseSpec
 
 ELECTRICAL_INI_EXTRA = """\
 [technology]
@@ -275,6 +281,41 @@ class TestSweepCommand:
         assert rc == 2
 
 
+class TestManifestParameters:
+    """Manifest parameters mirror the records, so no input field is dropped."""
+
+    @pytest.mark.parametrize("t2", [None, "1e-3"])
+    def test_mc_and_sweep_parameters_are_the_config_plus_workers(self, tmp_path, capsys, t2):
+        cfg = McConfig(n_samples=50, seed=3, target_alpha=0.25,
+                       nominal=pulse_for_target(0.25, 2e-8),
+                       noise=ControlNoiseSpec(1e-3, 1e-12, "uniform"),
+                       dephasing=DephasingSpec(float(t2)) if t2 else None, sensitivity=2.0)
+        argv = ["--alpha", "0.25", "--duration", "2e-8", "--sigma-a", "1e-3",
+                "--sigma-t", "1e-12", "--distribution", "uniform", "--sensitivity", "2",
+                "--n", "50", "--seed", "3", "--workers", "2"] + (["--t2", t2] if t2 else [])
+        expected = json.loads(json.dumps(cli._jsonable({**asdict(cfg), "workers": 2})))
+        assert cli.main(["mc", *argv, "--out", str(tmp_path / "mc")]) == 0
+        assert cli.main(["sweep", *argv, "--axis", "epsilon-reference-line",
+                         "--values", "1e-5,1e-4", "--out", str(tmp_path / "sweep")]) == 0
+        mc = json.loads(read_bytes(tmp_path / "mc" / "mc_manifest.json"))
+        sweep = json.loads(read_bytes(tmp_path / "sweep" / "sweep_manifest.json"))
+        assert mc["parameters"] == expected
+        assert sweep["parameters"] == {**expected, "axis": "epsilon", "values": [1e-5, 1e-4]}
+
+    @pytest.mark.parametrize("strict", [[], ["--strict-bandwidth"]])
+    def test_feasibility_parameters_are_the_report_inputs(self, tmp_path, capsys, strict):
+        out = tmp_path / "out"
+        assert cli.main(["feasibility", "--platform", "si-spin", "--tech",
+                         "modelocked-laser-10GHz", "--epsilon", "1e-4", "--out", str(out),
+                         *strict]) == 0
+        report = json.loads(read_bytes(out / "feasibility.json"))
+        params = json.loads(read_bytes(out / "feasibility_manifest.json"))["parameters"]
+        assert set(params) == {"platform", "technology", "epsilon", "strict_bandwidth"}
+        assert params == {key: report[key] for key in params}
+        assert set(report) - set(params) == {f.name for f in fields(budget.FeasibilityReport)}
+        assert params["strict_bandwidth"] is bool(strict)
+
+
 class TestCatalogCommand:
     def test_lists_builtin_entries(self, capsys):
         assert cli.main(["catalog"]) == 0
@@ -339,14 +380,31 @@ FUZZ_BASES = {
 }
 
 
+# Whole commands beyond the one-flag grid: an alpha whose phase pi*alpha
+# squares past the largest double.
+FUZZ_COMMANDS = [["mc", "--alpha=1e160", "--duration=1", "--n=10"],
+                 ["gate", "--alpha=1e308", "--phase-error=0.1"]]
+
+
 def fuzz_cases():
-    """Each numeric flag of each command, and --values on each sweep axis."""
+    """Each numeric flag of each command given each FUZZ_VALUE, --values on
+    each sweep axis, and each of FUZZ_COMMANDS; one case is a list of argvs."""
+    def grid(command, base, flag):
+        for value in FUZZ_VALUES:
+            options = {**base, flag: value}
+            if flag == "--phase-error":
+                del options["--dj"]  # the two error inputs exclude each other
+            yield [command] + [f"{name}={v}" for name, v in options.items()]
+
     for command, (base, flags) in FUZZ_BASES.items():
         for flag in flags:
-            yield pytest.param(command, base, flag, id=f"{command} {flag}")
+            yield pytest.param(list(grid(command, base, flag)), id=f"{command} {flag}")
     for axis in montecarlo.SWEEP_AXES:
-        yield pytest.param("sweep", {**FUZZ_BASES["sweep"][0], "--axis": axis}, "--values",
+        yield pytest.param(list(grid("sweep", {**FUZZ_BASES["sweep"][0], "--axis": axis},
+                                     "--values")),
                            id=f"sweep --axis={axis} --values")
+    for argv in FUZZ_COMMANDS:
+        yield pytest.param([argv], id=" ".join(argv))
 
 
 def has_nan(value):
@@ -357,17 +415,12 @@ def has_nan(value):
     return value == "nan" or (isinstance(value, float) and math.isnan(value))
 
 
-@pytest.mark.parametrize("command, base, flag", fuzz_cases())
-def test_numeric_flag_exits_0_or_2_without_traceback_or_nan_output(tmp_path, capsys,
-                                                                    command, base, flag):
-    for k, value in enumerate(FUZZ_VALUES):
-        options = {**base, flag: value}
-        if flag == "--phase-error":
-            del options["--dj"]  # the two error inputs exclude each other
-        argv = [command] + [f"{name}={v}" for name, v in options.items()]
+@pytest.mark.parametrize("argvs", fuzz_cases())
+def test_numeric_flag_exits_0_or_2_without_traceback_or_nan_output(tmp_path, capsys, argvs):
+    for k, argv in enumerate(argvs):
         out = tmp_path / str(k)
-        if command != "gate":
-            argv.append(f"--out={out}")
+        if argv[0] != "gate":
+            argv = argv + [f"--out={out}"]
         try:
             rc = cli.main(argv)
         except SystemExit as exc:  # argparse rejects a non-number with status 2
@@ -375,8 +428,17 @@ def test_numeric_flag_exits_0_or_2_without_traceback_or_nan_output(tmp_path, cap
         captured = capsys.readouterr()
         assert rc in (0, 2), argv
         assert "Traceback" not in captured.err, argv
+        assert not re.search(r"\bnan\b", captured.out), argv
         for path in out.glob("*.csv"):
             with open(path, newline="") as fh:
                 assert not any(has_nan(row) for row in csv.reader(fh)), argv
         for path in out.glob("*.json"):
             assert not has_nan(json.loads(read_bytes(path))), argv
+
+
+@pytest.mark.parametrize("argv", FUZZ_COMMANDS, ids=" ".join)
+def test_alpha_whose_phase_squared_overflows_is_input_error(tmp_path, capsys, argv):
+    if argv[0] != "gate":
+        argv = argv + [f"--out={tmp_path}"]
+    assert cli.main(argv) == 2
+    assert "alpha" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Tests for exchange-pulse unitaries and the closed-form gate error."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -195,6 +196,29 @@ class TestRelativeErrorToPhaseError:
     def test_rejects_large_relative_errors(self):
         with pytest.raises(ValueError):
             gates.relative_error_to_phase_error(1.0, 1.5, 0.0)
+
+    @pytest.mark.parametrize("dj, dt", [(1e-12, 0.0), (1e-12, -3e-13), (1e-17, 0.0),
+                                        (1e-17, 2e-18)])
+    def test_tiny_errors_keep_full_relative_precision(self, dj, dt):
+        theta = math.pi / 2
+        exact = Fraction(theta) * ((1 + Fraction(dj)) * (1 + Fraction(dt)) - 1)
+        got = gates.relative_error_to_phase_error(theta, dj, dt)
+        assert got != 0.0
+        assert got == pytest.approx(float(exact), rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("alpha", [1e151, -1e151, 1e308, math.inf, math.nan])
+def test_alpha_whose_phase_squared_overflows_is_rejected(alpha):
+    with pytest.raises(ValueError, match="alpha"):
+        gates.swap_power_target(alpha)
+    with pytest.raises(ValueError, match="alpha"):
+        gates.pulse_for_target(alpha, 1.0)
+
+
+def test_largest_alpha_gives_a_finite_squared_phase():
+    theta = gates.phase_from_pulse(gates.pulse_for_target(1e150, 1.0))
+    assert math.isfinite(theta**2)
+    assert np.all(np.isfinite(gates.swap_power_target(-1e150)))
 
 
 def test_pulse_for_target_hits_area():

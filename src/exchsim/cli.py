@@ -427,11 +427,6 @@ def main(argv=None):
     except (ValueError, OSError, RejectedSampleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MemoryError as exc:
-        # The per-sample arrays of mc and sweep grow with --n.
-        hint = f" (--n {args.n} samples need more memory than is free)" if "n" in args else ""
-        print(f"error: out of memory{hint}: {exc}", file=sys.stderr)
-        return 2
     except Exception:
         traceback.print_exc()
         return 1

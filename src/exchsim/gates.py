@@ -98,8 +98,10 @@ def _checked_alpha(alpha):
 
 def pulse_for_target(alpha, duration_s):
     """Constant pulse whose area realizes SWAP^alpha in the given duration."""
-    duration_s = _checked_duration(duration_s)  # before dividing by it
-    return constant_pulse(2.0 * math.pi * _checked_alpha(alpha) / duration_s, duration_s)
+    duration_s, alpha = _checked_duration(duration_s), _checked_alpha(alpha)
+    if alpha < 0.0:  # a pulse's exchange strength J cannot be negative
+        raise ValueError(f"alpha must be >= 0 (alpha + 2 is the same gate), got {alpha!r}")
+    return constant_pulse(2.0 * math.pi * alpha / duration_s, duration_s)
 
 
 def phase_from_pulse(pulse):

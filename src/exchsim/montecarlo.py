@@ -16,15 +16,17 @@ independent oracle the tests compare against.
 Samples are drawn and scored as arrays in fixed blocks [k BLOCK, (k+1) BLOCK)
 of the sample index.  Sample i's draws come from Philox4x64 counter block i
 under key (seed, 0) (see noise.draw_errors_block; RNG_SCHEME names this
-scheme), and the blocks do not depend on the worker count, so results are
-bit-identical for any n_workers; aggregation always runs over the full
-array in sample-index order.
+scheme), and the blocks do not depend on the worker count.  Each block is
+reduced where it is scored, and the block records are merged in block
+order, so results are bit-identical for any n_workers.
 """
 
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import reduce
+from itertools import chain
 
 import numpy as np
 
@@ -101,11 +103,6 @@ class McResult:
     n_rejected: int
 
 
-def _effective_noise(cfg):
-    # Amplitude noise enters the exchange through the platform sensitivity.
-    return replace(cfg.noise, sigma_a=cfg.sensitivity * cfg.noise.sigma_a)
-
-
 def _flip_probabilities(duration_s, t2_s):
     # flip_probability over arrays; T2 = inf gives p = 0 exactly.  A ratio
     # that overflows to inf gives the right limit p = 1/2.
@@ -113,59 +110,65 @@ def _flip_probabilities(duration_s, t2_s):
         return -0.5 * np.expm1(-duration_s / t2_s)
 
 
+def _score_block(cfg, start, stop):
+    """Infidelities and redraw counts of samples [start, stop) of cfg's run."""
+    duration, theta0 = cfg.nominal.duration_s, phase_from_pulse(cfg.nominal)
+    dephasing = cfg.dephasing or _NO_DEPHASING
+    # Amplitude noise enters the exchange through the platform sensitivity.
+    eff_noise = replace(cfg.noise, sigma_a=cfg.sensitivity * cfg.noise.sigma_a)
+    a, t, rejected = draw_errors_block(cfg.seed, start, stop, duration, eff_noise)
+    # The realized area is theta0 (1+a)(1+s) for constant and profile pulses alike.
+    s = t / duration
+    d = theta0 * (a + s + a * s) + (theta0 - math.pi * cfg.target_alpha)
+    p1 = _flip_probabilities(duration + t, dephasing.t2_q1_s)
+    p2 = _flip_probabilities(duration + t, dephasing.t2_q2_s)
+    weight = 0.75 * (1.0 - p1) * (1.0 - p2) - 0.25 * p1 * p2
+    return (p1 + p2 - p1 * p2) + np.sin(0.5 * d) ** 2 * weight, rejected
+
+
+def _merge(x, y):
+    # Chan, Golub & LeVeque (1983): the record of the union of blocks x and y.
+    n_x, mean_x, m2_x, lo_x, hi_x, hist_x, rej_x = x
+    n_y, mean_y, m2_y, lo_y, hi_y, hist_y, rej_y = y
+    n, delta = n_x + n_y, mean_y - mean_x
+    return (n, mean_x + delta * n_y / n, m2_x + m2_y + delta * delta * n_x * n_y / n,
+            min(lo_x, lo_y), max(hi_x, hi_y), hist_x + hist_y, rej_x + rej_y)
+
+
 def estimate_infidelity(cfg, n_workers=1):
     """Run the Monte Carlo estimate; results are independent of n_workers.
 
-    Each block of BLOCK samples is drawn and scored as arrays into
-    preallocated per-sample arrays, and every reduction (mean, stderr,
-    histogram, rejection count) runs over those ordered arrays, so any
-    worker count yields bit-identical McResults.  At most
-    min(n_workers, number of blocks, os.cpu_count()) threads are started.
+    Each block of BLOCK samples is drawn, scored and reduced to one record
+    in the thread that runs it; the calling thread merges the records in
+    block order, so any worker count yields bit-identical McResults and
+    memory does not grow with n.  At most min(n_workers, number of blocks,
+    os.cpu_count()) threads are started, with 16 blocks per thread in flight.
     """
     if n_workers < 1:
         raise ValueError(f"n_workers must be >= 1, got {n_workers!r}")
     n = cfg.n_samples
-    eff_noise = _effective_noise(cfg)
-    duration = cfg.nominal.duration_s
-    theta0 = phase_from_pulse(cfg.nominal)
-    offset = theta0 - math.pi * cfg.target_alpha
-    dephasing = cfg.dephasing or _NO_DEPHASING
-    values = np.empty(n)
-    rejected = np.empty(n, dtype=np.int64)
-
-    def run_block(start):
-        stop = min(start + BLOCK, n)
-        a, t, rejected[start:stop] = draw_errors_block(cfg.seed, start, stop, duration, eff_noise)
-        # The realized area is theta0 (1+a)(1+s) for constant and profile pulses alike.
-        s = t / duration
-        d = theta0 * (a + s + a * s) + offset
-        p1 = _flip_probabilities(duration + t, dephasing.t2_q1_s)
-        p2 = _flip_probabilities(duration + t, dephasing.t2_q2_s)
-        weight = 0.75 * (1.0 - p1) * (1.0 - p2) - 0.25 * p1 * p2
-        values[start:stop] = (p1 + p2 - p1 * p2) + np.sin(0.5 * d) ** 2 * weight
-
     starts = range(0, n, BLOCK)
     workers = min(n_workers, len(starts), os.cpu_count() or 1)
-    if workers == 1:
-        for start in starts:
-            run_block(start)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for _ in pool.map(run_block, starts):  # reading each result re-raises its error
-                pass
 
-    mean = float(np.mean(values))
-    stderr = float(np.std(values, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    bins = np.clip(np.searchsorted(HIST_EDGES, values, side="right") - 1, 0, HIST_N_BINS - 1)
-    histogram = tuple(int(c) for c in np.bincount(bins, minlength=HIST_N_BINS))
-    return McResult(
-        mean_infidelity=mean,
-        stderr=stderr,
-        min_infidelity=float(np.min(values)),
-        max_infidelity=float(np.max(values)),
-        histogram=histogram,
-        n_rejected=int(np.sum(rejected)),
-    )
+    def run_block(start):
+        values, rejected = _score_block(cfg, start, min(start + BLOCK, n))
+        # (count, mean, M2 = sum of squared deviations, min, max, histogram, redraws)
+        mean, bins = np.mean(values), np.searchsorted(HIST_EDGES, values, side="right") - 1
+        return (values.size, mean, np.sum((values - mean) ** 2), np.min(values), np.max(values),
+                np.bincount(np.clip(bins, 0, HIST_N_BINS - 1), minlength=HIST_N_BINS),
+                int(np.sum(rejected)))
+
+    if workers == 1:
+        total = reduce(_merge, map(run_block, starts))
+    else:
+        window = 16 * workers  # blocks in flight: a window is mapped once the last is merged
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            total = reduce(_merge, chain.from_iterable(pool.map(run_block, starts[i:i + window])
+                                                       for i in range(0, len(starts), window)))
+    _, mean, m2, lo, hi, histogram, n_rejected = total
+    stderr = math.sqrt(m2 / (n - 1)) / math.sqrt(n) if n > 1 else 0.0
+    return McResult(float(mean), stderr, float(lo), float(hi),
+                    tuple(int(c) for c in histogram), n_rejected)
 
 
 def analytic_infidelity(cfg):

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -146,9 +147,11 @@ class TestDeterminism:
         assert estimate_infidelity(cfg) == estimate_infidelity(cfg)
 
     @pytest.mark.parametrize("workers", [2, 3, 8])
-    def test_worker_partitioning_is_invisible(self, workers):
-        # Three blocks, the last one ragged, so the pool really starts.
-        cfg = make_config(n=2 * BLOCK + 1, seed=8, sigma_a=1e-3, sigma_t=1e-12, t2=T2)
+    @pytest.mark.parametrize("n", [2 * BLOCK + 1, 40 * BLOCK + 3])
+    def test_worker_partitioning_is_invisible(self, n, workers):
+        # Three or 41 blocks, the last one ragged, so the pool really starts;
+        # 41 blocks span two windows of 16 blocks per thread on 2 threads.
+        cfg = make_config(n=n, seed=8, sigma_a=1e-3, sigma_t=1e-12, t2=T2)
         serial = estimate_infidelity(cfg, n_workers=1)
         parallel = estimate_infidelity(cfg, n_workers=workers)
         assert serial == parallel
@@ -172,6 +175,47 @@ class TestDeterminism:
         a = estimate_infidelity(make_config(n=500, seed=9, sigma_a=1e-3))
         b = estimate_infidelity(make_config(n=500, seed=10, sigma_a=1e-3))
         assert a.mean_infidelity != b.mean_infidelity
+
+
+class TestBlockReduction:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n", [3 * BLOCK + 17, 1])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(sigma_a=1e-3, sigma_t=1e-12, t2=T2),
+         dict(sigma_a=1e-2, sigma_t=5e-9, distribution="uniform")],  # ~21% of draws redrawn
+        ids=["plain", "rejections"],
+    )
+    def test_merged_blocks_equal_whole_array_reduction(self, kwargs, n, workers):
+        cfg = make_config(n=n, seed=21, **kwargs)
+        blocks = [montecarlo._score_block(cfg, start, min(start + BLOCK, n))
+                  for start in range(0, n, BLOCK)]
+        values = np.concatenate([v for v, _ in blocks])
+        edges = montecarlo.HIST_EDGES
+        histogram, _ = np.histogram(np.clip(values, edges[0], edges[-1]), bins=edges)
+        result = estimate_infidelity(cfg, n_workers=workers)
+        assert result.histogram == tuple(int(c) for c in histogram)
+        assert result.min_infidelity == np.min(values)
+        assert result.max_infidelity == np.max(values)
+        assert result.n_rejected == sum(int(np.sum(r)) for _, r in blocks)
+        assert result.mean_infidelity == pytest.approx(np.mean(values), rel=1e-13)
+        stderr = np.std(values, ddof=1) / math.sqrt(n) if n > 1 else 0.0
+        assert result.stderr == pytest.approx(stderr, rel=1e-13)
+        if n > 1 and "distribution" in kwargs:
+            assert result.n_rejected > 0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_memory_does_not_grow_with_n(self, workers):
+        def peak_bytes(n):
+            cfg = make_config(n=n, seed=22, sigma_a=1e-3, sigma_t=1e-12, t2=T2)
+            tracemalloc.start()
+            try:
+                estimate_infidelity(cfg, n_workers=workers)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak_bytes(64 * BLOCK) <= 1.25 * peak_bytes(8 * BLOCK)
 
 
 class TestSamplePathMatchesPublicOps:

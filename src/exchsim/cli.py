@@ -306,7 +306,10 @@ def cmd_mc(args):
 def cmd_sweep(args):
     started = time.monotonic()
     cfg = _mc_config(args)
-    values = [float(v) for v in args.values.split(",") if v.strip()]
+    try:
+        values = [float(v) for v in args.values.split(",") if v.strip()]
+    except ValueError as exc:  # float() names the bad token
+        raise ValueError(f"--values must be comma-separated numbers: {exc}") from None
     if not values:
         raise ValueError("--values must contain at least one number")
     if any(math.isnan(v) for v in values):

@@ -43,10 +43,13 @@ RNG_SCHEME = "philox4x64-counter-block-v2"
 # uniform draws reach only sqrt(3).
 _MAX_RADIUS = math.sqrt(106.0 * math.log(2.0))
 
-HIST_N_BINS = 64
-# Log-spaced bins over [1e-16, 1]; values below the range clamp into bin 0.
-HIST_EDGES = np.logspace(-16.0, 0.0, HIST_N_BINS + 1)
+HIST_N_BINS, _HIST_PER_DECADE, _HIST_LOG10_LO = 64, 4, -16
+# Bin k holds HIST_EDGES[k] <= v < HIST_EDGES[k+1], 4 per decade over [1e-16, 1]; values below
+# 1e-16 clamp into bin 0 and values of 1 or more into the last bin.
+HIST_EDGES = np.logspace(_HIST_LOG10_LO, _HIST_LOG10_LO + HIST_N_BINS / _HIST_PER_DECADE,
+                         HIST_N_BINS + 1)
 HIST_EDGES.setflags(write=False)
+_PADDED_EDGES = np.concatenate(([-np.inf], HIST_EDGES, [np.inf]))
 
 _NO_DEPHASING = DephasingSpec(math.inf)  # T2 = inf: flip probabilities exactly 0
 
@@ -104,10 +107,10 @@ class McResult:
 
 
 def _flip_probabilities(duration_s, t2_s):
-    # flip_probability over arrays; T2 = inf gives p = 0 exactly.  A ratio
-    # that overflows to inf gives the right limit p = 1/2.
+    # flip_probability over arrays; T2 = inf gives the scalar p = 0, which
+    # broadcasts.  A ratio that overflows to inf gives the right limit p = 1/2.
     with np.errstate(over="ignore"):
-        return -0.5 * np.expm1(-duration_s / t2_s)
+        return 0.0 if t2_s == math.inf else -0.5 * np.expm1(duration_s / -t2_s)
 
 
 def _score_block(cfg, start, stop):
@@ -120,10 +123,23 @@ def _score_block(cfg, start, stop):
     # The realized area is theta0 (1+a)(1+s) for constant and profile pulses alike.
     s = t / duration
     d = theta0 * (a + s + a * s) + (theta0 - math.pi * cfg.target_alpha)
-    p1 = _flip_probabilities(duration + t, dephasing.t2_q1_s)
-    p2 = _flip_probabilities(duration + t, dephasing.t2_q2_s)
+    realized = duration + t
+    p1 = _flip_probabilities(realized, dephasing.t2_q1_s)
+    p2 = (p1 if dephasing.t2_q2_s == dephasing.t2_q1_s  # one array when the qubits share T2
+          else _flip_probabilities(realized, dephasing.t2_q2_s))
     weight = 0.75 * (1.0 - p1) * (1.0 - p2) - 0.25 * p1 * p2
     return (p1 + p2 - p1 * p2) + np.sin(0.5 * d) ** 2 * weight, rejected
+
+
+def _hist_bins(values):
+    """j with _PADDED_EDGES[j] <= v < _PADDED_EDGES[j+1]: unclamped HIST_EDGES bin j - 1."""
+    # j = floor(4 log10 v + 65) is at most one off; one comparison with each neighbour corrects it.
+    with np.errstate(divide="ignore"):  # log10(0) = -inf clamps into j = 0
+        guess = np.log10(values) * _HIST_PER_DECADE + (1 - _HIST_PER_DECADE * _HIST_LOG10_LO)
+    j = np.clip(guess, 0, HIST_N_BINS + 1, out=guess).astype(np.intp)  # truncation floors j >= 0
+    j -= values < _PADDED_EDGES[j]
+    j += values >= _PADDED_EDGES[1:][j]
+    return j
 
 
 def _merge(x, y):
@@ -153,10 +169,11 @@ def estimate_infidelity(cfg, n_workers=1):
     def run_block(start):
         values, rejected = _score_block(cfg, start, min(start + BLOCK, n))
         # (count, mean, M2 = sum of squared deviations, min, max, histogram, redraws)
-        mean, bins = np.mean(values), np.searchsorted(HIST_EDGES, values, side="right") - 1
+        mean, counts = np.mean(values), np.bincount(_hist_bins(values), minlength=HIST_N_BINS + 3)
+        # The end bins take the padding intervals j = 0 and j >= HIST_N_BINS + 1 (the clamps).
+        histogram = np.concatenate(([counts[:2].sum()], counts[2:-3], [counts[-3:].sum()]))
         return (values.size, mean, np.sum((values - mean) ** 2), np.min(values), np.max(values),
-                np.bincount(np.clip(bins, 0, HIST_N_BINS - 1), minlength=HIST_N_BINS),
-                int(np.sum(rejected)))
+                histogram, int(np.sum(rejected)))
 
     if workers == 1:
         total = reduce(_merge, map(run_block, starts))

@@ -271,6 +271,13 @@ class TestSweepCommand:
                        "--out", str(tmp_path / "out")])
         assert rc == 2
 
+    def test_non_numeric_value_is_input_error_naming_flag_and_token(self, tmp_path, capsys):
+        rc = cli.main(["sweep", "--axis", "t2", "--values", "1e-3,abc",
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--values" in err and "'abc'" in err
+
 
 class TestManifestParameters:
     """Manifest parameters mirror the records, so no input field is dropped."""

@@ -122,6 +122,11 @@ class TestEstimator:
         result = estimate_infidelity(make_config(n=50))
         assert result.histogram[0] == 50
 
+    def test_infinite_t2_equals_no_dephasing(self):
+        cfg = make_config(n=3 * BLOCK + 17, seed=24, sigma_a=1e-3, sigma_t=1e-12)
+        no_decay = replace(cfg, dephasing=dephasing.DephasingSpec(math.inf))
+        assert estimate_infidelity(no_decay) == estimate_infidelity(cfg)
+
     def test_relative_precision_holds_at_tiny_infidelity(self):
         # Without jitter every sample is (3/4) sin^2(theta a / 2) with a
         # proportional to sigma_a, so the mean scales as sigma_a^2 exactly up
@@ -204,6 +209,22 @@ class TestBlockReduction:
         if n > 1 and "distribution" in kwargs:
             assert result.n_rejected > 0
 
+    def test_histogram_bins_equal_searchsorted(self):
+        # Every edge and 4 ulp on each side of it, the ends of the float
+        # range, and log-uniform values spanning the bins and both clamps.
+        edges = montecarlo.HIST_EDGES
+        below, above, near_edges = edges, edges, [edges]
+        for _ in range(4):
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+            near_edges += [below, above]
+        special = np.array([0.0, 5e-324, 1.0, 2.0, np.inf])
+        spread = 10.0 ** np.random.default_rng(23).uniform(-20.0, 1.0, 10**6)
+        values = np.concatenate(near_edges + [special, spread])
+        expected = np.clip(np.searchsorted(edges, values, side="right") - 1,
+                           0, montecarlo.HIST_N_BINS - 1)
+        bins = np.clip(montecarlo._hist_bins(values) - 1, 0, montecarlo.HIST_N_BINS - 1)
+        np.testing.assert_array_equal(bins, expected)
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_memory_does_not_grow_with_n(self, workers):
         def peak_bytes(n):
@@ -251,9 +272,13 @@ class TestSamplePathMatchesPublicOps:
             (gates.pulse_for_target(0.5, 5e-9), 0.5, ControlNoiseSpec(0.2, 1e-10),
              dephasing.DephasingSpec(5e-9, 2e-8), 1.0),
             (gates.pulse_for_target(0.5, 5e-9), 0.5, ControlNoiseSpec(1e-2, 5e-9), None, 1.0),
+            (gates.pulse_for_target(0.5, 5e-9), 0.5, ControlNoiseSpec(1e-3, 2e-12),
+             dephasing.DephasingSpec(math.inf, 7e-5), 1.0),
+            (gates.pulse_for_target(0.5, 5e-9), 0.5, ControlNoiseSpec(1e-3, 2e-12),
+             dephasing.DephasingSpec(5e-4, math.inf), 1.0),
         ],
         ids=["profile", "uniform", "asymmetric-t2", "detuned", "sensitivity", "strong-noise",
-             "rejections"],
+             "rejections", "q1-no-decay", "q2-no-decay"],
     )
     def test_sample_value_equals_kraus_oracle(self, nominal, alpha, noise, spec, sensitivity):
         # An n = 1 estimate's mean is the value of sample 0 of its seed.

@@ -330,7 +330,7 @@ def cmd_sweep(args):
 def cmd_catalog(args):
     entries = budget.merge_catalog(_user_technologies(args.file))
     if args.format == "json":
-        print(json.dumps([asdict(t) for t in entries], indent=2, sort_keys=True))
+        print(json.dumps(_jsonable([asdict(t) for t in entries]), indent=2, sort_keys=True))
         return 0
     header = (
         f"{'name':<28} {'sigma_a (dimensionless)':>24} {'sigma_t (s)':>14} "

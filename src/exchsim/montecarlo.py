@@ -30,6 +30,7 @@ from itertools import chain
 
 import numpy as np
 
+from .budget import Threshold
 from .dephasing import DephasingSpec, flip_probability
 from .gates import PulseSpec, phase_from_pulse, pulse_for_target
 from .noise import ControlNoiseSpec, draw_errors_block
@@ -42,14 +43,6 @@ RNG_SCHEME = "philox4x64-counter-block-v2"
 # The largest Box-Muller radius, sqrt(-2 ln 2**-53) at u0 = 1 - 2**-53;
 # uniform draws reach only sqrt(3).
 _MAX_RADIUS = math.sqrt(106.0 * math.log(2.0))
-
-HIST_N_BINS, _HIST_PER_DECADE, _HIST_LOG10_LO = 64, 4, -16
-# Bin k holds HIST_EDGES[k] <= v < HIST_EDGES[k+1], 4 per decade over [1e-16, 1]; values below
-# 1e-16 clamp into bin 0 and values of 1 or more into the last bin.
-HIST_EDGES = np.logspace(_HIST_LOG10_LO, _HIST_LOG10_LO + HIST_N_BINS / _HIST_PER_DECADE,
-                         HIST_N_BINS + 1)
-HIST_EDGES.setflags(write=False)
-_PADDED_EDGES = np.concatenate(([-np.inf], HIST_EDGES, [np.inf]))
 
 _NO_DEPHASING = DephasingSpec(math.inf)  # T2 = inf: flip probabilities exactly 0
 
@@ -96,13 +89,12 @@ class McConfig:
 
 @dataclass(frozen=True)
 class McResult:
-    """Aggregated infidelity statistics; histogram counts follow HIST_EDGES."""
+    """Aggregated infidelity statistics of one run."""
 
     mean_infidelity: float
     stderr: float
     min_infidelity: float
     max_infidelity: float
-    histogram: tuple
     n_rejected: int
 
 
@@ -131,24 +123,13 @@ def _score_block(cfg, start, stop):
     return (p1 + p2 - p1 * p2) + np.sin(0.5 * d) ** 2 * weight, rejected
 
 
-def _hist_bins(values):
-    """j with _PADDED_EDGES[j] <= v < _PADDED_EDGES[j+1]: unclamped HIST_EDGES bin j - 1."""
-    # j = floor(4 log10 v + 65) is at most one off; one comparison with each neighbour corrects it.
-    with np.errstate(divide="ignore"):  # log10(0) = -inf clamps into j = 0
-        guess = np.log10(values) * _HIST_PER_DECADE + (1 - _HIST_PER_DECADE * _HIST_LOG10_LO)
-    j = np.clip(guess, 0, HIST_N_BINS + 1, out=guess).astype(np.intp)  # truncation floors j >= 0
-    j -= values < _PADDED_EDGES[j]
-    j += values >= _PADDED_EDGES[1:][j]
-    return j
-
-
 def _merge(x, y):
     # Chan, Golub & LeVeque (1983): the record of the union of blocks x and y.
-    n_x, mean_x, m2_x, lo_x, hi_x, hist_x, rej_x = x
-    n_y, mean_y, m2_y, lo_y, hi_y, hist_y, rej_y = y
+    n_x, mean_x, m2_x, lo_x, hi_x, rej_x = x
+    n_y, mean_y, m2_y, lo_y, hi_y, rej_y = y
     n, delta = n_x + n_y, mean_y - mean_x
     return (n, mean_x + delta * n_y / n, m2_x + m2_y + delta * delta * n_x * n_y / n,
-            min(lo_x, lo_y), max(hi_x, hi_y), hist_x + hist_y, rej_x + rej_y)
+            min(lo_x, lo_y), max(hi_x, hi_y), rej_x + rej_y)
 
 
 def estimate_infidelity(cfg, n_workers=1):
@@ -168,12 +149,10 @@ def estimate_infidelity(cfg, n_workers=1):
 
     def run_block(start):
         values, rejected = _score_block(cfg, start, min(start + BLOCK, n))
-        # (count, mean, M2 = sum of squared deviations, min, max, histogram, redraws)
-        mean, counts = np.mean(values), np.bincount(_hist_bins(values), minlength=HIST_N_BINS + 3)
-        # The end bins take the padding intervals j = 0 and j >= HIST_N_BINS + 1 (the clamps).
-        histogram = np.concatenate(([counts[:2].sum()], counts[2:-3], [counts[-3:].sum()]))
+        # (count, mean, M2 = sum of squared deviations, min, max, redraws)
+        mean = np.mean(values)
         return (values.size, mean, np.sum((values - mean) ** 2), np.min(values), np.max(values),
-                histogram, int(np.sum(rejected)))
+                int(np.sum(rejected)))
 
     if workers == 1:
         total = reduce(_merge, map(run_block, starts))
@@ -182,10 +161,9 @@ def estimate_infidelity(cfg, n_workers=1):
         with ThreadPoolExecutor(max_workers=workers) as pool:
             total = reduce(_merge, chain.from_iterable(pool.map(run_block, starts[i:i + window])
                                                        for i in range(0, len(starts), window)))
-    _, mean, m2, lo, hi, histogram, n_rejected = total
+    _, mean, m2, lo, hi, n_rejected = total
     stderr = math.sqrt(m2 / (n - 1)) / math.sqrt(n) if n > 1 else 0.0
-    return McResult(float(mean), stderr, float(lo), float(hi),
-                    tuple(int(c) for c in histogram), n_rejected)
+    return McResult(float(mean), stderr, float(lo), float(hi), n_rejected)
 
 
 def analytic_infidelity(cfg):
@@ -238,24 +216,26 @@ def _config_for(cfg, axis, value):
             target_alpha=value,
             nominal=pulse_for_target(value, cfg.nominal.duration_s),
         )
-    return cfg  # epsilon: reference line only, the run is unchanged
+    Threshold(value)  # epsilon: a reference line checked as an error rate; the run is unchanged
+    return cfg
 
 
 def sweep(cfg, axis, values, n_workers=1):
-    """One estimate per axis value, all with the template's seed.
+    """One row per axis value, each estimated with the template's seed.
 
     Rows are independent; the analytic reference column carries
     analytic_infidelity for physical axes and the threshold value itself
-    for the epsilon reference axis.
+    for the epsilon reference axis.  Rows with equal configs (every epsilon
+    row, or a repeated value) share one estimate.
     """
     axis = normalize_axis(axis)
-    points = []
+    points, results = [], {}
     for value in values:
         value = float(value)
         row_cfg = _config_for(cfg, axis, value)
-        result = estimate_infidelity(row_cfg, n_workers=n_workers)
+        if row_cfg not in results:
+            results[row_cfg] = estimate_infidelity(row_cfg, n_workers=n_workers)
         reference = value if axis == "epsilon" else analytic_infidelity(row_cfg)
-        points.append(
-            SweepPoint(axis=axis, value=value, result=result, analytic_prediction=reference)
-        )
+        points.append(SweepPoint(axis=axis, value=value, result=results[row_cfg],
+                                 analytic_prediction=reference))
     return tuple(points)

@@ -278,6 +278,28 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert "--values" in err and "'abc'" in err
 
+    def test_epsilon_outside_unit_interval_is_input_error(self, tmp_path, capsys):
+        rc = cli.main(["sweep", "--axis", "epsilon", "--values", "2", "--n", "10",
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "epsilon must lie in (0, 1), got 2.0" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "sweep.csv").exists()
+
+    def test_epsilon_rows_run_one_estimate(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        estimate = montecarlo.estimate_infidelity
+        monkeypatch.setattr(montecarlo, "estimate_infidelity",
+                            lambda cfg, n_workers: calls.append(cfg) or estimate(cfg, n_workers))
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--axis", "epsilon", "--values", "1e-5,1e-4,1e-3",
+                         "--sigma-a", "1e-3", "--n", "300", "--seed", "5", "--out", str(out)]) == 0
+        assert len(calls) == 1
+        with open(out / "sweep.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        result = estimate(calls[0])
+        assert [row[1:3] for row in rows] == [[cli._fmt(result.mean_infidelity),
+                                               cli._fmt(result.stderr)]] * 3
+
 
 class TestManifestParameters:
     """Manifest parameters mirror the records, so no input field is dropped."""
@@ -329,6 +351,18 @@ class TestCatalogCommand:
         for entry in entries:
             assert set(entry) == {"name", "sigma_a", "sigma_t_s", "bw_low_hz",
                                   "bw_high_hz", "notes"}
+
+    def test_json_writes_inf_band_edge_as_string(self, tmp_path, capsys):
+        extra = tmp_path / "extra.spec"
+        extra.write_text(ELECTRICAL_INI_EXTRA.replace("2e9", "inf"))
+        assert cli.main(["catalog", "--file", str(extra), "--format", "json"]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        entries = json.loads(capsys.readouterr().out, parse_constant=reject)
+        (entry,) = [e for e in entries if e["name"] == "house-generator"]
+        assert entry["bw_high_hz"] == "inf"
 
     def test_user_file_merges(self, tmp_path, capsys):
         extra = tmp_path / "extra.spec"

@@ -19,6 +19,10 @@ under key (seed, 0) (see noise.draw_errors_block; RNG_SCHEME names this
 scheme), and the blocks do not depend on the worker count.  Each block is
 reduced where it is scored, and the block records are merged in block
 order, so results are bit-identical for any n_workers.
+
+A sweep is one pass over the blocks, and its rows that share a draw key
+(seed, n, duration, effective noise) share the draws, so each row is
+bit-identical to its own estimate_infidelity.
 """
 
 import math
@@ -105,13 +109,10 @@ def _flip_probabilities(duration_s, t2_s):
         return 0.0 if t2_s == math.inf else -0.5 * np.expm1(duration_s / -t2_s)
 
 
-def _score_block(cfg, start, stop):
-    """Infidelities and redraw counts of samples [start, stop) of cfg's run."""
+def _score(cfg, a, t):
+    """Infidelities of cfg's gate under the drawn errors a, t."""
     duration, theta0 = cfg.nominal.duration_s, phase_from_pulse(cfg.nominal)
     dephasing = cfg.dephasing or _NO_DEPHASING
-    # Amplitude noise enters the exchange through the platform sensitivity.
-    eff_noise = replace(cfg.noise, sigma_a=cfg.sensitivity * cfg.noise.sigma_a)
-    a, t, rejected = draw_errors_block(cfg.seed, start, stop, duration, eff_noise)
     # The realized area is theta0 (1+a)(1+s) for constant and profile pulses alike.
     s = t / duration
     d = theta0 * (a + s + a * s) + (theta0 - math.pi * cfg.target_alpha)
@@ -120,7 +121,7 @@ def _score_block(cfg, start, stop):
     p2 = (p1 if dephasing.t2_q2_s == dephasing.t2_q1_s  # one array when the qubits share T2
           else _flip_probabilities(realized, dephasing.t2_q2_s))
     weight = 0.75 * (1.0 - p1) * (1.0 - p2) - 0.25 * p1 * p2
-    return (p1 + p2 - p1 * p2) + np.sin(0.5 * d) ** 2 * weight, rejected
+    return (p1 + p2 - p1 * p2) + np.sin(0.5 * d) ** 2 * weight
 
 
 def _merge(x, y):
@@ -132,38 +133,59 @@ def _merge(x, y):
             min(lo_x, lo_y), max(hi_x, hi_y), rej_x + rej_y)
 
 
-def estimate_infidelity(cfg, n_workers=1):
-    """Run the Monte Carlo estimate; results are independent of n_workers.
+def _estimate(cfgs, n_workers):
+    """McResults of the rows cfgs, which share n_samples, in one pass over the blocks.
 
-    Each block of BLOCK samples is drawn, scored and reduced to one record
-    in the thread that runs it; the calling thread merges the records in
-    block order, so any worker count yields bit-identical McResults and
-    memory does not grow with n.  At most min(n_workers, number of blocks,
-    os.cpu_count()) threads are started, with 16 blocks per thread in flight.
+    Each block is drawn once per draw key and scored for every row of that
+    key, then reduced to one record per row in the thread that runs it; the
+    calling thread merges each row's records in block order, so any worker
+    count yields bit-identical McResults and memory does not grow with n.
+    At most min(n_workers, number of blocks, os.cpu_count()) threads are
+    started, with 16 blocks per thread in flight.
     """
     if n_workers < 1:
         raise ValueError(f"n_workers must be >= 1, got {n_workers!r}")
-    n = cfg.n_samples
+    groups = {}  # draw key -> rows; amplitude noise enters through the sensitivity
+    for row, cfg in enumerate(cfgs):
+        eff_noise = replace(cfg.noise, sigma_a=cfg.sensitivity * cfg.noise.sigma_a)
+        key = (cfg.seed, cfg.n_samples, cfg.nominal.duration_s, eff_noise)
+        groups.setdefault(key, []).append(row)
+    n = cfgs[0].n_samples
     starts = range(0, n, BLOCK)
     workers = min(n_workers, len(starts), os.cpu_count() or 1)
 
     def run_block(start):
-        values, rejected = _score_block(cfg, start, min(start + BLOCK, n))
-        # (count, mean, M2 = sum of squared deviations, min, max, redraws)
-        mean = np.mean(values)
-        return (values.size, mean, np.sum((values - mean) ** 2), np.min(values), np.max(values),
-                int(np.sum(rejected)))
+        records = [None] * len(cfgs)
+        for (seed, _, duration, noise), rows in groups.items():
+            a, t, rejected = draw_errors_block(seed, start, min(start + BLOCK, n), duration, noise)
+            redraws = int(np.sum(rejected))
+            for row in rows:
+                values = _score(cfgs[row], a, t)
+                # (count, mean, M2 = sum of squared deviations, min, max, redraws)
+                mean = np.mean(values)
+                records[row] = (values.size, mean, np.sum((values - mean) ** 2),
+                                np.min(values), np.max(values), redraws)
+        return records
+
+    def merge_rows(x, y):
+        return list(map(_merge, x, y))
 
     if workers == 1:
-        total = reduce(_merge, map(run_block, starts))
+        totals = reduce(merge_rows, map(run_block, starts))
     else:
         window = 16 * workers  # blocks in flight: a window is mapped once the last is merged
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            total = reduce(_merge, chain.from_iterable(pool.map(run_block, starts[i:i + window])
-                                                       for i in range(0, len(starts), window)))
-    _, mean, m2, lo, hi, n_rejected = total
-    stderr = math.sqrt(m2 / (n - 1)) / math.sqrt(n) if n > 1 else 0.0
-    return McResult(float(mean), stderr, float(lo), float(hi), n_rejected)
+            blocks = chain.from_iterable(pool.map(run_block, starts[i:i + window])
+                                         for i in range(0, len(starts), window))
+            totals = reduce(merge_rows, blocks)
+    return [McResult(float(mean), math.sqrt(m2 / (n - 1)) / math.sqrt(n) if n > 1 else 0.0,
+                     float(lo), float(hi), n_rejected)
+            for _, mean, m2, lo, hi, n_rejected in totals]
+
+
+def estimate_infidelity(cfg, n_workers=1):
+    """Run the Monte Carlo estimate; results are independent of n_workers (see _estimate)."""
+    return _estimate([cfg], n_workers)[0]
 
 
 def analytic_infidelity(cfg):
@@ -223,19 +245,19 @@ def _config_for(cfg, axis, value):
 def sweep(cfg, axis, values, n_workers=1):
     """One row per axis value, each estimated with the template's seed.
 
-    Rows are independent; the analytic reference column carries
-    analytic_infidelity for physical axes and the threshold value itself
-    for the epsilon reference axis.  Rows with equal configs (every epsilon
-    row, or a repeated value) share one estimate.
+    Every row's config is built and checked before any sample is drawn.
+    The rows are then estimated in one pass over the blocks, and rows that
+    share a draw key (seed, n, duration and effective noise: every row of
+    the t2, target_alpha and epsilon axes, or a repeated value) share the
+    draws, so each row equals its own estimate_infidelity.  The analytic
+    reference column carries analytic_infidelity for physical axes and the
+    threshold value itself for the epsilon reference axis.
     """
     axis = normalize_axis(axis)
-    points, results = [], {}
-    for value in values:
-        value = float(value)
-        row_cfg = _config_for(cfg, axis, value)
-        if row_cfg not in results:
-            results[row_cfg] = estimate_infidelity(row_cfg, n_workers=n_workers)
-        reference = value if axis == "epsilon" else analytic_infidelity(row_cfg)
-        points.append(SweepPoint(axis=axis, value=value, result=results[row_cfg],
-                                 analytic_prediction=reference))
-    return tuple(points)
+    values = [float(value) for value in values]
+    cfgs = [_config_for(cfg, axis, value) for value in values]
+    results = _estimate(cfgs, n_workers) if cfgs else []
+    return tuple(SweepPoint(axis=axis, value=value, result=result,
+                            analytic_prediction=(value if axis == "epsilon"
+                                                 else analytic_infidelity(row_cfg)))
+                 for value, row_cfg, result in zip(values, cfgs, results))

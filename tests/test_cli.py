@@ -285,20 +285,25 @@ class TestSweepCommand:
         assert "epsilon must lie in (0, 1), got 2.0" in capsys.readouterr().err
         assert not (tmp_path / "out" / "sweep.csv").exists()
 
-    def test_epsilon_rows_run_one_estimate(self, tmp_path, capsys, monkeypatch):
-        calls = []
-        estimate = montecarlo.estimate_infidelity
-        monkeypatch.setattr(montecarlo, "estimate_infidelity",
-                            lambda cfg, n_workers: calls.append(cfg) or estimate(cfg, n_workers))
-        out = tmp_path / "out"
-        assert cli.main(["sweep", "--axis", "epsilon", "--values", "1e-5,1e-4,1e-3",
-                         "--sigma-a", "1e-3", "--n", "300", "--seed", "5", "--out", str(out)]) == 0
-        assert len(calls) == 1
-        with open(out / "sweep.csv", newline="") as fh:
+    def test_epsilon_rows_run_one_estimate(self, tmp_path, capsys, draws):
+        argv = ["--sigma-a", "1e-3", "--n", str(3 * montecarlo.BLOCK + 17), "--seed", "5"]
+        assert cli.main(["sweep", "--axis", "epsilon", "--values", "1e-5,1e-4,1e-3", *argv,
+                         "--out", str(tmp_path / "sweep")]) == 0
+        assert len(draws) == 4  # one per block, shared by the three rows
+        assert cli.main(["mc", *argv, "--out", str(tmp_path / "mc")]) == 0
+        with open(tmp_path / "sweep" / "sweep.csv", newline="") as fh:
             rows = list(csv.reader(fh))[1:]
-        result = estimate(calls[0])
-        assert [row[1:3] for row in rows] == [[cli._fmt(result.mean_infidelity),
-                                               cli._fmt(result.stderr)]] * 3
+        with open(tmp_path / "mc" / "mc.csv", newline="") as fh:
+            (estimate,) = list(csv.reader(fh))[1:]
+        assert [row[1:3] for row in rows] == [estimate[1:3]] * 3
+
+    def test_bad_value_anywhere_exits_before_any_draw(self, tmp_path, capsys, draws):
+        rc = cli.main(["sweep", "--axis", "t2", "--values", "1e-3,-1", "--n", "2000000",
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "T2 must be > 0 (math.inf allowed), got -1.0" in capsys.readouterr().err
+        assert draws == []
+        assert not (tmp_path / "out" / "sweep.csv").exists()
 
 
 class TestManifestParameters:

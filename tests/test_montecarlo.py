@@ -4,13 +4,13 @@ import math
 import re
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
 from exchsim import core, dephasing, gates, montecarlo
-from exchsim.montecarlo import BLOCK, McConfig, estimate_infidelity, sweep
+from exchsim.montecarlo import BLOCK, SWEEP_AXES, McConfig, estimate_infidelity, sweep
 from exchsim.noise import ControlNoiseSpec, draw_errors_block, realized_pulse
 
 T2 = 0.5e-3
@@ -27,6 +27,35 @@ def make_config(n=1000, seed=0, alpha=0.5, duration=5e-9, sigma_a=0.0, sigma_t=0
         dephasing=dephasing.DephasingSpec(t2) if t2 is not None else None,
         sensitivity=sensitivity,
     )
+
+
+def score_block(cfg, start, stop):
+    """Infidelities and redraw counts of samples [start, stop) of cfg's run."""
+    eff_noise = replace(cfg.noise, sigma_a=cfg.sensitivity * cfg.noise.sigma_a)
+    a, t, rejected = draw_errors_block(cfg.seed, start, stop, cfg.nominal.duration_s, eff_noise)
+    return montecarlo._score(cfg, a, t), rejected
+
+
+def assert_memory_does_not_grow_with_n(run):
+    """run(n)() peaks at 64 BLOCK samples at most 1.25x as high as at 8 BLOCK."""
+    def peak_bytes(n, repeats):
+        tracemalloc.start()
+        try:
+            for _ in range(repeats):
+                run(n)()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    run(8 * BLOCK)()  # untraced, so one-time allocations of a first call are not counted
+    # Both sides score 64 blocks: on 2 workers the peak also depends on whether
+    # the threads' block temporaries ever coincide, and 64 blocks give both sides
+    # the same chances.  Only n differs.
+    assert peak_bytes(64 * BLOCK, repeats=1) <= 1.25 * peak_bytes(8 * BLOCK, repeats=8)
+
+
+def hexed(result):
+    return tuple(float(field).hex() for field in astuple(result))
 
 
 class TestConfigValidation:
@@ -188,8 +217,7 @@ class TestBlockReduction:
     )
     def test_merged_blocks_equal_whole_array_reduction(self, kwargs, n, workers):
         cfg = make_config(n=n, seed=21, **kwargs)
-        blocks = [montecarlo._score_block(cfg, start, min(start + BLOCK, n))
-                  for start in range(0, n, BLOCK)]
+        blocks = [score_block(cfg, start, min(start + BLOCK, n)) for start in range(0, n, BLOCK)]
         values = np.concatenate([v for v, _ in blocks])
         result = estimate_infidelity(cfg, n_workers=workers)
         assert result.min_infidelity == np.min(values)
@@ -203,16 +231,19 @@ class TestBlockReduction:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_memory_does_not_grow_with_n(self, workers):
-        def peak_bytes(n):
+        def run(n):
             cfg = make_config(n=n, seed=22, sigma_a=1e-3, sigma_t=1e-12, t2=T2)
-            tracemalloc.start()
-            try:
-                estimate_infidelity(cfg, n_workers=workers)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return lambda: estimate_infidelity(cfg, n_workers=workers)
 
-        assert peak_bytes(64 * BLOCK) <= 1.25 * peak_bytes(8 * BLOCK)
+        assert_memory_does_not_grow_with_n(run)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sweep_memory_does_not_grow_with_n(self, workers):
+        def run(n):
+            cfg = make_config(n=n, seed=22, sigma_a=1e-3, sigma_t=1e-12)
+            return lambda: sweep(cfg, "t2", [5e-5, 1e-4, 5e-4, 1e-3, 5e-3], n_workers=workers)
+
+        assert_memory_does_not_grow_with_n(run)
 
 
 class TestSamplePathMatchesPublicOps:
@@ -319,15 +350,31 @@ class TestSweep:
         assert [p.analytic_prediction for p in points] == [1e-4, 1e-5]
         assert points[0].axis == "epsilon"
 
-    def test_equal_rows_share_one_estimate(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(montecarlo, "estimate_infidelity",
-                            lambda cfg, n_workers: calls.append(cfg) or estimate_infidelity(cfg))
-        cfg = make_config(n=BLOCK + 3, seed=25, sigma_t=1e-12, t2=T2)
+    @pytest.mark.parametrize("axis, values, n_draws", [
+        ("t2", [5e-5, 1e-4, 5e-4, 1e-3, 5e-3], 4),  # one draw key: one draw per block
+        ("sigma_a", [1e-3, 1e-4, 1e-2], 12),  # three keys
+    ])
+    def test_one_draw_per_block_and_draw_key(self, draws, axis, values, n_draws):
+        cfg = make_config(n=3 * BLOCK + 17, seed=25, sigma_a=1e-3, sigma_t=1e-12, t2=T2)
+        sweep(cfg, axis, values)
+        assert len(draws) == n_draws
+
+    def test_equal_rows_share_one_estimate(self, draws):
+        cfg = make_config(n=3 * BLOCK + 17, seed=25, sigma_t=1e-12, t2=T2)
         points = sweep(cfg, "sigma_a", [1e-3, 1e-4, 1e-3])
-        assert len(calls) == 2
+        assert len(draws) == 8  # two draw keys, four blocks
         for p in points:
             assert p.result == estimate_infidelity(montecarlo._config_for(cfg, "sigma_a", p.value))
+
+    @pytest.mark.parametrize("axis, values, message", [
+        ("t2", [1e-3, -1.0], "T2 must be > 0 (math.inf allowed), got -1.0"),
+        ("epsilon", [1e-5, 2.0], "epsilon must lie in (0, 1), got 2.0"),
+        ("sigma_a", [1e-3, 1e200], "sensitivity * sigma_a = 1e+200 is too large"),
+    ])
+    def test_bad_last_value_fails_before_any_draw(self, draws, axis, values, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sweep(make_config(n=2_000_000), axis, values)
+        assert draws == []
 
     @pytest.mark.parametrize("value", [0.0, 1.0, 2.0, -1e-5, math.inf])
     def test_epsilon_axis_rejects_values_outside_unit_interval(self, value):
@@ -338,6 +385,33 @@ class TestSweep:
     def test_unknown_axis_rejected(self):
         with pytest.raises(ValueError, match="unknown sweep axis"):
             sweep(make_config(n=10), "voltage", [1.0])
+
+
+class TestSweepRowsEqualEstimates:
+    """Each sweep row equals its own estimate_infidelity, bit for bit."""
+
+    VALUES = {"sigma_a": [1e-2, 1e-3, 3e-2], "sigma_t": [5e-9, 1e-12, 2e-9],
+              "t2": [5e-5, math.inf, T2], "target_alpha": [0.5, 0.25, 1.0],
+              "epsilon": [1e-5, 1e-3]}
+    KWARG = {"sigma_a": "sigma_a", "sigma_t": "sigma_t", "t2": "t2", "target_alpha": "alpha"}
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(sigma_a=1e-3, sigma_t=1e-12, t2=T2),
+         dict(sigma_a=1e-2, sigma_t=5e-9, distribution="uniform")],  # ~21% of draws redrawn
+        ids=["plain", "rejections"],
+    )
+    @pytest.mark.parametrize("axis", SWEEP_AXES)
+    def test_rows_equal_per_row_estimates(self, axis, kwargs, workers):
+        n = 3 * BLOCK + 17  # the last block ragged
+        points = sweep(make_config(n=n, seed=26, **kwargs), axis, self.VALUES[axis],
+                       n_workers=workers)
+        assert [p.value for p in points] == self.VALUES[axis]
+        for p in points:
+            row_kwargs = {**kwargs, self.KWARG[axis]: p.value} if axis in self.KWARG else kwargs
+            row = estimate_infidelity(make_config(n=n, seed=26, **row_kwargs))
+            assert hexed(p.result) == hexed(row)
 
 
 class TestAnalyticPrediction:

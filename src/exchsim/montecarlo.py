@@ -21,7 +21,7 @@ reduced where it is scored, and the block records are merged in block
 order, so results are bit-identical for any n_workers.
 
 A sweep is one pass over the blocks, and its rows that share a draw key
-(seed, n, duration, effective noise) share the draws, so each row is
+(seed, duration, effective noise) share the draws, so each row is
 bit-identical to its own estimate_infidelity.
 """
 
@@ -148,15 +148,14 @@ def _estimate(cfgs, n_workers):
     groups = {}  # draw key -> rows; amplitude noise enters through the sensitivity
     for row, cfg in enumerate(cfgs):
         eff_noise = replace(cfg.noise, sigma_a=cfg.sensitivity * cfg.noise.sigma_a)
-        key = (cfg.seed, cfg.n_samples, cfg.nominal.duration_s, eff_noise)
-        groups.setdefault(key, []).append(row)
+        groups.setdefault((cfg.seed, cfg.nominal.duration_s, eff_noise), []).append(row)
     n = cfgs[0].n_samples
     starts = range(0, n, BLOCK)
     workers = min(n_workers, len(starts), os.cpu_count() or 1)
 
     def run_block(start):
         records = [None] * len(cfgs)
-        for (seed, _, duration, noise), rows in groups.items():
+        for (seed, duration, noise), rows in groups.items():
             a, t, rejected = draw_errors_block(seed, start, min(start + BLOCK, n), duration, noise)
             redraws = int(np.sum(rejected))
             for row in rows:
@@ -167,8 +166,7 @@ def _estimate(cfgs, n_workers):
                                 np.min(values), np.max(values), redraws)
         return records
 
-    def merge_rows(x, y):
-        return list(map(_merge, x, y))
+    merge_rows = lambda x, y: list(map(_merge, x, y))
 
     if workers == 1:
         totals = reduce(merge_rows, map(run_block, starts))
@@ -247,7 +245,7 @@ def sweep(cfg, axis, values, n_workers=1):
 
     Every row's config is built and checked before any sample is drawn.
     The rows are then estimated in one pass over the blocks, and rows that
-    share a draw key (seed, n, duration and effective noise: every row of
+    share a draw key (seed, duration and effective noise: every row of
     the t2, target_alpha and epsilon axes, or a repeated value) share the
     draws, so each row equals its own estimate_infidelity.  The analytic
     reference column carries analytic_infidelity for physical axes and the

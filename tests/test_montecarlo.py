@@ -38,20 +38,20 @@ def score_block(cfg, start, stop):
 
 def assert_memory_does_not_grow_with_n(run):
     """run(n)() peaks at 64 BLOCK samples at most 1.25x as high as at 8 BLOCK."""
-    def peak_bytes(n, repeats):
+    def peak_bytes(n):
         tracemalloc.start()
         try:
-            for _ in range(repeats):
-                run(n)()
+            run(n)()
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
     run(8 * BLOCK)()  # untraced, so one-time allocations of a first call are not counted
-    # Both sides score 64 blocks: on 2 workers the peak also depends on whether
-    # the threads' block temporaries ever coincide, and 64 blocks give both sides
-    # the same chances.  Only n differs.
-    assert peak_bytes(64 * BLOCK, repeats=1) <= 1.25 * peak_bytes(8 * BLOCK, repeats=8)
+    # On 2 workers a peak also depends on whether the threads' block temporaries
+    # coincide, which a 64-block run is near sure to see and an 8-block run is
+    # not; the largest of 8 separately traced 8-block runs gives it the same
+    # chances, and memory one run keeps is not counted in the next one's peak.
+    assert peak_bytes(64 * BLOCK) <= 1.25 * max(peak_bytes(8 * BLOCK) for _ in range(8))
 
 
 def hexed(result):

@@ -37,10 +37,8 @@ import numpy as np
 from .budget import Threshold
 from .dephasing import DephasingSpec, flip_probability
 from .gates import PulseSpec, phase_from_pulse, pulse_for_target
-from .noise import ControlNoiseSpec, draw_errors_block
+from .noise import BLOCK, ControlNoiseSpec, draw_errors_block
 
-# Samples per block; fixed, so the partition never depends on n_workers.
-BLOCK = 8192
 # Sample i: the first two words of Philox4x64 counter block i under key
 # (seed, 0), Box-Muller for gaussian noise, redraws under key (seed, attempt).
 RNG_SCHEME = "philox4x64-counter-block-v2"

@@ -13,6 +13,7 @@ partition.
 """
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,11 @@ DISTRIBUTIONS = ("gaussian", "uniform")
 
 # Resample-then-fail policy for unphysical draws (duration <= 0 or a < -1).
 MAX_RESAMPLES = 100
+# Samples per Monte Carlo block (montecarlo partitions its runs by it); each
+# thread's reused draw buffer holds the uniforms of one block.
+BLOCK = 8192
+
+_scratch = threading.local()  # this thread's uniform buffer, reused by every draw
 
 
 class RejectedSampleError(RuntimeError):
@@ -63,12 +69,25 @@ def _is_physical(duration_s, amp, shift):
     return (duration_s + shift > 0.0) & (amp >= -1.0)
 
 
+def _uniforms(seed, attempt, start, stop):
+    # All four words of Philox4x64 counter blocks start..stop-1 under key
+    # (seed, attempt), each as the uniform (word >> 11) 2**-53 on [0, 1), in
+    # this thread's reused buffer; a range beyond one BLOCK gets a one-off
+    # array.  The key is built as uint64 so seeds >= 2**63 stay exact.
+    size = 4 * (stop - start)
+    buf = getattr(_scratch, "uniforms", None)
+    if buf is None:
+        buf = _scratch.uniforms = np.empty(4 * BLOCK)
+    buf = buf[:size] if size <= buf.size else np.empty(size)
+    bitgen = np.random.Philox(key=np.array([seed, attempt], dtype=np.uint64)).advance(start)
+    return np.random.Generator(bitgen).random(out=buf)
+
+
 def _block_errors(seed, attempt, start, stop, noise):
     # Sample i reads the first two words of Philox4x64 counter block i under
-    # key (seed, attempt).  The key is built as uint64 so seeds >= 2**63 stay exact.
-    bitgen = np.random.Philox(key=np.array([seed, attempt], dtype=np.uint64))
-    raw = bitgen.advance(start).random_raw(4 * (stop - start))
-    u0, u1 = ((raw[word::4] >> 11) * 2.0**-53 for word in (0, 1))  # uniforms on [0, 1)
+    # key (seed, attempt).  The returned arrays are new, never views of the buffer.
+    u = _uniforms(seed, attempt, start, stop)
+    u0, u1 = u[0::4], u[1::4]
     if noise.distribution == "gaussian":  # Box-Muller
         radius = np.sqrt(-2.0 * np.log1p(-u0))
         angle = 2.0 * math.pi * u1

@@ -133,6 +133,28 @@ class TestDrawErrorsBlock:
         else:
             assert rejected.sum() == 0
 
+    @pytest.mark.parametrize("name", ["gaussian", "uniform-rejections"])
+    def test_a_second_draw_leaves_the_first_draws_arrays_unchanged(self, name):
+        spec = self.SPECS[name]
+        first = noise.draw_errors_block(self.SEED, 0, BLOCK, self.T, spec)
+        kept = tuple(array.copy() for array in first)
+        noise.draw_errors_block(3, 0, BLOCK, self.T, spec)
+        for array, copy in zip(first, kept):
+            assert np.array_equal(array, copy)
+
+    @pytest.mark.parametrize("start", [0, 5])
+    def test_a_range_beyond_one_block_equals_its_block_slices(self, start):
+        spec, stop = self.SPECS["gaussian-rejections"], start + 3 * BLOCK + 17
+        noise.draw_errors_block(self.SEED, 0, 1, self.T, spec)  # this thread's buffer exists
+        buffer = noise._scratch.uniforms
+        size = buffer.size
+        whole = noise.draw_errors_block(self.SEED, start, stop, self.T, spec)
+        assert noise._scratch.uniforms is buffer and buffer.size == size
+        parts = [noise.draw_errors_block(self.SEED, i, min(i + BLOCK, stop), self.T, spec)
+                 for i in range(start, stop, BLOCK)]
+        for array, sliced in zip(whole, zip(*parts)):
+            assert np.array_equal(array, np.concatenate(sliced))
+
     def test_moments_match_the_spec(self):
         for name, n in (("gaussian", 1_000_000), ("uniform", 200_000)):
             spec = self.SPECS[name]

@@ -14,9 +14,10 @@ route (exchange_unitary, dephasing_channel, entanglement_fidelity) is the
 independent oracle the tests compare against.
 
 Samples are drawn and scored as arrays in fixed blocks [k BLOCK, (k+1) BLOCK)
-of the sample index.  Sample i's draws come from Philox4x64 counter block i
-under key (seed, 0) (see noise.draw_errors_block; RNG_SCHEME names this
-scheme), and the blocks do not depend on the worker count.  Each block is
+of the sample index.  Sample i's draws come from word pair i mod 2 of
+Philox4x64 counter block i // 2 under key (seed, 0), two samples per counter
+block (see noise.draw_errors_block; RNG_SCHEME names this scheme), and the
+blocks do not depend on the worker count.  Each block is
 reduced where it is scored, and the block records are merged in block
 order, so results are bit-identical for any n_workers.
 
@@ -39,9 +40,10 @@ from .dephasing import DephasingSpec, flip_probability
 from .gates import PulseSpec, phase_from_pulse, pulse_for_target
 from .noise import BLOCK, ControlNoiseSpec, draw_errors_block
 
-# Sample i: the first two words of Philox4x64 counter block i under key
-# (seed, 0), Box-Muller for gaussian noise, redraws under key (seed, attempt).
-RNG_SCHEME = "philox4x64-counter-block-v2"
+# Sample i: words 2(i mod 2) and 2(i mod 2)+1 of Philox4x64 counter block
+# i // 2 under key (seed, 0), Box-Muller with the angle pi (2 u1 - 1) for
+# gaussian noise, redraws from the same words under key (seed, attempt).
+RNG_SCHEME = "philox4x64-counter-block-v3"
 # The largest Box-Muller radius, sqrt(-2 ln 2**-53) at u0 = 1 - 2**-53;
 # uniform draws reach only sqrt(3).
 _MAX_RADIUS = math.sqrt(106.0 * math.log(2.0))

@@ -70,27 +70,31 @@ def _is_physical(duration_s, amp, shift):
 
 
 def _uniforms(seed, attempt, start, stop):
-    # All four words of Philox4x64 counter blocks start..stop-1 under key
+    # Words 2 start to 2 stop - 1 of the Philox4x64 stream under key
     # (seed, attempt), each as the uniform (word >> 11) 2**-53 on [0, 1), in
     # this thread's reused buffer; a range beyond one BLOCK gets a one-off
-    # array.  The key is built as uint64 so seeds >= 2**63 stay exact.
-    size = 4 * (stop - start)
+    # array.  Counter block c holds words 4c..4c+3, so an odd start skips the
+    # first word pair of block start // 2.  The key is built as uint64 so
+    # seeds >= 2**63 stay exact.
+    skip = 2 * (start % 2)
+    size = skip + 2 * (stop - start)
     buf = getattr(_scratch, "uniforms", None)
     if buf is None:
-        buf = _scratch.uniforms = np.empty(4 * BLOCK)
+        buf = _scratch.uniforms = np.empty(2 * BLOCK + 2)  # one BLOCK from any start
     buf = buf[:size] if size <= buf.size else np.empty(size)
-    bitgen = np.random.Philox(key=np.array([seed, attempt], dtype=np.uint64)).advance(start)
-    return np.random.Generator(bitgen).random(out=buf)
+    bitgen = np.random.Philox(key=np.array([seed, attempt], dtype=np.uint64)).advance(start // 2)
+    return np.random.Generator(bitgen).random(out=buf)[skip:]
 
 
 def _block_errors(seed, attempt, start, stop, noise):
-    # Sample i reads the first two words of Philox4x64 counter block i under
-    # key (seed, attempt).  The returned arrays are new, never views of the buffer.
+    # Sample i reads words 2(i mod 2) and 2(i mod 2)+1 of Philox4x64 counter
+    # block i // 2 under key (seed, attempt).  The returned arrays are new,
+    # never views of the buffer.
     u = _uniforms(seed, attempt, start, stop)
-    u0, u1 = u[0::4], u[1::4]
-    if noise.distribution == "gaussian":  # Box-Muller
+    u0, u1 = u[0::2], u[1::2]
+    if noise.distribution == "gaussian":  # Box-Muller, its angle on [-pi, pi)
         radius = np.sqrt(-2.0 * np.log1p(-u0))
-        angle = 2.0 * math.pi * u1
+        angle = math.pi * (2.0 * u1 - 1.0)
         return noise.sigma_a * radius * np.cos(angle), noise.sigma_t_s * radius * np.sin(angle)
     scale = math.sqrt(3.0)
     return (noise.sigma_a * scale * (2.0 * u0 - 1.0),
@@ -102,10 +106,13 @@ def draw_errors_block(seed, start, stop, duration_s, noise):
 
     Counter-based (Salmon et al., SC'11): sample i is a function of (seed, i)
     alone, so any partition of the sample range gives the same draws.
-    Gaussian errors come from Box-Muller on the first two Philox words of
-    counter block i, uniform errors scale those words directly.  Unphysical
-    draws are redrawn at the same counter under key (seed, attempt) for
-    attempt = 1..MAX_RESAMPLES, then RejectedSampleError names the sample.
+    Sample i reads the word pair 2(i mod 2), 2(i mod 2)+1 of Philox4x64
+    counter block i // 2 under key (seed, 0), so two samples share a
+    counter block.  Gaussian errors come from Box-Muller on that pair's two
+    uniforms, with the angle pi (2 u1 - 1) on [-pi, pi); uniform errors scale
+    the two uniforms directly.  Unphysical draws are redrawn from the same
+    word pair under key (seed, attempt) for attempt = 1..MAX_RESAMPLES, then
+    RejectedSampleError names the sample.
     `rejected` counts the discarded draws of each sample.
     """
     amp, shift = _block_errors(seed, 0, start, stop, noise)

@@ -3,6 +3,7 @@
 import math
 import re
 import tracemalloc
+from pathlib import Path
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, replace
 
@@ -199,6 +200,11 @@ class TestDeterminism:
         cfg = make_config(n=2 * BLOCK + 1, seed=19, sigma_a=1e-3)  # three blocks
         assert estimate_infidelity(cfg, n_workers=64) == estimate_infidelity(cfg)
         assert started == pools
+
+    def test_readme_states_the_rng_scheme(self):
+        # The determinism contract in the README must name the scheme the code draws with.
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        assert montecarlo.RNG_SCHEME in readme.read_text(encoding="utf-8")
 
     def test_different_seeds_differ(self):
         a = estimate_infidelity(make_config(n=500, seed=9, sigma_a=1e-3))

@@ -55,7 +55,7 @@ class TestSamplePulse:
 
     def test_resample_exhaustion_raises(self, monkeypatch):
         spec = noise.ControlNoiseSpec(sigma_a=0.0, sigma_t_s=NOMINAL.duration_s)
-        seed = 7  # the first draw under this seed's key has T + t <= 0
+        seed = 2  # the first draw under this seed's key has T + t <= 0
         key = int(_rng(seed).integers(2**64, dtype=np.uint64))
         assert noise.draw_errors_block(key, 0, 1, NOMINAL.duration_s, spec)[2][0] > 0
         monkeypatch.setattr(noise, "MAX_RESAMPLES", 0)
@@ -85,16 +85,23 @@ def block_draws(seed, n, duration_s, spec):
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
+def reference_uniforms(seed, attempt, index):
+    """Uniforms (u0, u1) of sample `index`: word pair index mod 2 of counter block index // 2."""
+    key = np.array([seed, attempt], dtype=np.uint64)
+    words = np.random.Philox(key=key).advance(index // 2).random_raw(4)
+    pair = 2 * (index % 2)
+    return tuple(int(word >> 11) * 2.0**-53 for word in words[pair:pair + 2])
+
+
 def scalar_reference_draw(seed, index, duration_s, spec):
     """Sample `index` of draw_errors_block, attempt by attempt with `math`."""
     for attempt in range(noise.MAX_RESAMPLES + 1):
-        key = np.array([seed, attempt], dtype=np.uint64)
-        words = np.random.Philox(key=key).advance(index).random_raw(4)
-        u0, u1 = (int(word >> 11) * 2.0**-53 for word in words[:2])
+        u0, u1 = reference_uniforms(seed, attempt, index)
         if spec.distribution == "gaussian":
             radius = math.sqrt(-2.0 * math.log1p(-u0))
-            amp = spec.sigma_a * radius * math.cos(2.0 * math.pi * u1)
-            shift = spec.sigma_t_s * radius * math.sin(2.0 * math.pi * u1)
+            angle = math.pi * (2.0 * u1 - 1.0)
+            amp = spec.sigma_a * radius * math.cos(angle)
+            shift = spec.sigma_t_s * radius * math.sin(angle)
         else:
             amp = spec.sigma_a * math.sqrt(3.0) * (2.0 * u0 - 1.0)
             shift = spec.sigma_t_s * math.sqrt(3.0) * (2.0 * u1 - 1.0)
@@ -116,14 +123,20 @@ class TestDrawErrorsBlock:
     }
 
     @pytest.mark.parametrize("name", SPECS)
-    @pytest.mark.parametrize("start", [0, BLOCK - 1, BLOCK + 5])
-    def test_slices_equal_single_index_calls_and_scalar_reference(self, name, start):
-        spec, stop = self.SPECS[name], start + 300
+    @pytest.mark.parametrize("start, stop", [
+        (0, 300), (1, 300), (BLOCK - 1, BLOCK + 300), (BLOCK + 5, BLOCK + 301),
+        (3 * BLOCK, 3 * BLOCK + 17),  # the ragged last block of a 3 BLOCK + 17 run
+    ])
+    def test_slices_equal_single_index_calls_and_scalar_reference(self, name, start, stop):
+        spec = self.SPECS[name]
+        uniforms = noise._uniforms(self.SEED, 0, start, stop).copy()
+        assert uniforms.shape == (2 * (stop - start),)
         amp, shift, rejected = noise.draw_errors_block(self.SEED, start, stop, self.T, spec)
         assert amp.shape == shift.shape == rejected.shape == (stop - start,)
         for k, i in enumerate(range(start, stop)):
             one = noise.draw_errors_block(self.SEED, i, i + 1, self.T, spec)
             assert (amp[k], shift[k], rejected[k]) == (one[0][0], one[1][0], one[2][0])
+            assert tuple(uniforms[2 * k:2 * k + 2]) == reference_uniforms(self.SEED, 0, i)
             ref_amp, ref_shift, ref_rejected = scalar_reference_draw(self.SEED, i, self.T, spec)
             assert amp[k] == pytest.approx(ref_amp, rel=1e-12, abs=0.0)
             assert shift[k] == pytest.approx(ref_shift, rel=1e-12, abs=0.0)

@@ -109,19 +109,24 @@ def _flip_probabilities(duration_s, t2_s):
         return 0.0 if t2_s == math.inf else -0.5 * np.expm1(duration_s / -t2_s)
 
 
-def _score(cfg, a, t):
-    """Infidelities of cfg's gate under the drawn errors a, t."""
+def _area_term(cfg, a, t):
+    """sin^2(d/2) of the pulse-area error d of cfg's gate under the drawn errors a, t."""
     duration, theta0 = cfg.nominal.duration_s, phase_from_pulse(cfg.nominal)
-    dephasing = cfg.dephasing or _NO_DEPHASING
     # The realized area is theta0 (1+a)(1+s) for constant and profile pulses alike.
     s = t / duration
     d = theta0 * (a + s + a * s) + (theta0 - math.pi * cfg.target_alpha)
-    realized = duration + t
+    return np.sin(0.5 * d) ** 2
+
+
+def _score(cfg, t, area):
+    """Infidelities of cfg's gate under the drawn timing errors t, given its _area_term."""
+    dephasing = cfg.dephasing or _NO_DEPHASING
+    realized = cfg.nominal.duration_s + t
     p1 = _flip_probabilities(realized, dephasing.t2_q1_s)
     p2 = (p1 if dephasing.t2_q2_s == dephasing.t2_q1_s  # one array when the qubits share T2
           else _flip_probabilities(realized, dephasing.t2_q2_s))
     weight = 0.75 * (1.0 - p1) * (1.0 - p2) - 0.25 * p1 * p2
-    return (p1 + p2 - p1 * p2) + np.sin(0.5 * d) ** 2 * weight
+    return (p1 + p2 - p1 * p2) + area * weight
 
 
 def _merge(x, y):
@@ -136,8 +141,9 @@ def _merge(x, y):
 def _estimate(cfgs, n_workers):
     """McResults of the rows cfgs, which share n_samples, in one pass over the blocks.
 
-    Each block is drawn once per draw key and scored for every row of that
-    key, then reduced to one record per row in the thread that runs it; the
+    Each block is drawn once per draw key, its area term is computed once
+    per (nominal pulse, target_alpha) of that key, and every row is scored
+    from them, then reduced to one record per row in the thread that runs it; the
     calling thread merges each row's records in block order, so any worker
     count yields bit-identical McResults and memory does not grow with n.
     At most min(n_workers, number of blocks, os.cpu_count()) threads are
@@ -145,25 +151,30 @@ def _estimate(cfgs, n_workers):
     """
     if n_workers < 1:
         raise ValueError(f"n_workers must be >= 1, got {n_workers!r}")
-    groups = {}  # draw key -> rows; amplitude noise enters through the sensitivity
+    # draw key -> (nominal, target_alpha) -> rows; amplitude noise enters
+    # through the sensitivity
+    groups = {}
     for row, cfg in enumerate(cfgs):
         eff_noise = replace(cfg.noise, sigma_a=cfg.sensitivity * cfg.noise.sigma_a)
-        groups.setdefault((cfg.seed, cfg.nominal.duration_s, eff_noise), []).append(row)
+        areas = groups.setdefault((cfg.seed, cfg.nominal.duration_s, eff_noise), {})
+        areas.setdefault((cfg.nominal, cfg.target_alpha), []).append(row)
     n = cfgs[0].n_samples
     starts = range(0, n, BLOCK)
     workers = min(n_workers, len(starts), os.cpu_count() or 1)
 
     def run_block(start):
         records = [None] * len(cfgs)
-        for (seed, duration, noise), rows in groups.items():
+        for (seed, duration, noise), areas in groups.items():
             a, t, rejected = draw_errors_block(seed, start, min(start + BLOCK, n), duration, noise)
             redraws = int(np.sum(rejected))
-            for row in rows:
-                values = _score(cfgs[row], a, t)
-                # (count, mean, M2 = sum of squared deviations, min, max, redraws)
-                mean = np.mean(values)
-                records[row] = (values.size, mean, np.sum((values - mean) ** 2),
-                                np.min(values), np.max(values), redraws)
+            for rows in areas.values():
+                area = _area_term(cfgs[rows[0]], a, t)
+                for row in rows:
+                    values = _score(cfgs[row], t, area)
+                    # (count, mean, M2 = sum of squared deviations, min, max, redraws)
+                    mean = np.mean(values)
+                    records[row] = (values.size, mean, np.sum((values - mean) ** 2),
+                                    np.min(values), np.max(values), redraws)
         return records
 
     merge_rows = lambda x, y: list(map(_merge, x, y))

@@ -34,7 +34,7 @@ def score_block(cfg, start, stop):
     """Infidelities and redraw counts of samples [start, stop) of cfg's run."""
     eff_noise = replace(cfg.noise, sigma_a=cfg.sensitivity * cfg.noise.sigma_a)
     a, t, rejected = draw_errors_block(cfg.seed, start, stop, cfg.nominal.duration_s, eff_noise)
-    return montecarlo._score(cfg, a, t), rejected
+    return montecarlo._score(cfg, t, montecarlo._area_term(cfg, a, t)), rejected
 
 
 def assert_memory_does_not_grow_with_n(run):
@@ -371,6 +371,13 @@ class TestSweep:
         assert len(draws) == 8  # two draw keys, four blocks
         for p in points:
             assert p.result == estimate_infidelity(montecarlo._config_for(cfg, "sigma_a", p.value))
+
+    def test_rows_of_one_pulse_and_two_targets_keep_their_own_area_terms(self):
+        # No sweep axis makes such rows, but _estimate must not share their area term.
+        cfg = make_config(n=3 * BLOCK + 17, seed=27, sigma_a=1e-3, sigma_t=1e-12, t2=T2)
+        cfgs = [cfg, replace(cfg, target_alpha=0.52)]
+        assert [hexed(r) for r in montecarlo._estimate(cfgs, 1)] == [
+            hexed(estimate_infidelity(c)) for c in cfgs]
 
     @pytest.mark.parametrize("axis, values, message", [
         ("t2", [1e-3, -1.0], "T2 must be > 0 (math.inf allowed), got -1.0"),

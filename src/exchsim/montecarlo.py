@@ -17,9 +17,9 @@ Samples are drawn and scored as arrays in fixed blocks [k BLOCK, (k+1) BLOCK)
 of the sample index.  Sample i's draws come from word pair i mod 2 of
 Philox4x64 counter block i // 2 under key (seed, 0), two samples per counter
 block (see noise.draw_errors_block; RNG_SCHEME names this scheme), and the
-blocks do not depend on the worker count.  Each block is
-reduced where it is scored, and the block records are merged in block
-order, so results are bit-identical for any n_workers.
+blocks do not depend on the worker count.  Each block is reduced where it is
+scored, and the block records are merged in block order, so results are
+bit-identical for any n_workers.
 
 A sweep is one pass over the blocks, and its rows that share a draw key
 (seed, duration, effective noise) share the draws, so each row is
@@ -143,8 +143,8 @@ def _estimate(cfgs, n_workers):
 
     Each block is drawn once per draw key, its area term is computed once
     per (nominal pulse, target_alpha) of that key, and every row is scored
-    from them, then reduced to one record per row in the thread that runs it; the
-    calling thread merges each row's records in block order, so any worker
+    from them and reduced to one record per row in the thread that runs it;
+    the calling thread merges each row's records in block order, so any worker
     count yields bit-identical McResults and memory does not grow with n.
     At most min(n_workers, number of blocks, os.cpu_count()) threads are
     started, with 16 blocks per thread in flight.

@@ -3,9 +3,9 @@
 import math
 import re
 import tracemalloc
-from pathlib import Path
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, replace
+from pathlib import Path
 
 import numpy as np
 import pytest

@@ -15,10 +15,13 @@ import csv
 import json
 import math
 import os
+import platform
 import sys
 import time
 import traceback
 from dataclasses import asdict
+
+import numpy as np
 
 from . import __version__, budget, montecarlo
 from .dephasing import DephasingSpec
@@ -285,7 +288,8 @@ def _write_mc_outputs(args, cfg, rows, started, **parameters):
                              _fmt(result.stderr), _fmt(analytic), cfg.n_samples, cfg.seed])
     _write_manifest(args.out, args.command,
                     {**asdict(cfg), "workers": args.workers, **parameters}, cfg.seed,
-                    [csv_path], started, rng_scheme=montecarlo.RNG_SCHEME)
+                    [csv_path], started, rng_scheme=montecarlo.RNG_SCHEME,
+                    python_version=platform.python_version(), numpy_version=np.__version__)
     return csv_path
 
 

@@ -14,10 +14,11 @@ route (exchange_unitary, dephasing_channel, entanglement_fidelity) is the
 independent oracle the tests compare against.
 
 Samples are drawn and scored as arrays in fixed blocks [k BLOCK, (k+1) BLOCK)
-of the sample index.  Sample i's draws come from word pair i mod 2 of
-Philox4x64 counter block i // 2 under key (seed, 0), two samples per counter
-block (see noise.draw_errors_block; RNG_SCHEME names this scheme), and the
-blocks do not depend on the worker count.  Each block is reduced where it is
+of the sample index.  Each block has its own Philox4x64 stream under key
+(seed, 0), with initial counter (0, k, 0, 0), and sample k BLOCK + j takes
+variates 2j and 2j+1 of it: numpy's ziggurat for gaussian noise (see
+noise.draw_errors_block; RNG_SCHEME names this scheme).  The blocks do not
+depend on the worker count.  Each block is reduced where it is
 scored, and the block records are merged in block order, so results are
 bit-identical for any n_workers.
 
@@ -40,13 +41,18 @@ from .dephasing import DephasingSpec, flip_probability
 from .gates import PulseSpec, phase_from_pulse, pulse_for_target
 from .noise import BLOCK, ControlNoiseSpec, draw_errors_block
 
-# Sample i: words 2(i mod 2) and 2(i mod 2)+1 of Philox4x64 counter block
-# i // 2 under key (seed, 0), Box-Muller with the angle pi (2 u1 - 1) for
-# gaussian noise, redraws from the same words under key (seed, attempt).
-RNG_SCHEME = "philox4x64-counter-block-v3"
-# The largest Box-Muller radius, sqrt(-2 ln 2**-53) at u0 = 1 - 2**-53;
-# uniform draws reach only sqrt(3).
-_MAX_RADIUS = math.sqrt(106.0 * math.log(2.0))
+# Sample i = k BLOCK + j: variates 2j and 2j+1 of block k's Philox4x64 stream
+# (key (seed, 0), initial counter (0, k, 0, 0)), Generator.standard_normal for
+# gaussian noise, redraws from the same position under key (seed, attempt).
+RNG_SCHEME = "philox4x64-block-stream-v4"
+# The largest |z| numpy's ziggurat (random_standard_normal) can return.  The
+# layers below the tail return |z| < R, the tail start R = 3.6541528853610088.
+# The tail returns R + x with x = -ln(1 - u) / R and u = (word >> 11) 2**-53
+# <= 1 - 2**-53, so x <= 53 ln 2 / R.  (Its acceptance test 2 y > x**2, with
+# y <= 53 ln 2 likewise, caps x at sqrt(106 ln 2) = 8.57 < 10.05, so this bound
+# also covers the rounding of x.)  Uniform draws reach only sqrt(3).
+_ZIGGURAT_R = 3.6541528853610088
+_MAX_RADIUS = _ZIGGURAT_R + 53.0 * math.log(2.0) / _ZIGGURAT_R
 
 _NO_DEPHASING = DephasingSpec(math.inf)  # T2 = inf: flip probabilities exactly 0
 

@@ -9,7 +9,8 @@ The noise model is white-over-band and quasi-static per pulse: each gate
 draws one relative-amplitude scalar and one timing scalar.
 draw_errors_block derives the draws of a range of samples from (seed,
 sample index) alone, so parallel callers get the same draws for any
-partition.
+partition: each BLOCK of sample indices has its own Philox4x64 stream, and
+gaussian draws come from numpy's ziggurat on it.
 """
 
 import math
@@ -24,11 +25,12 @@ DISTRIBUTIONS = ("gaussian", "uniform")
 
 # Resample-then-fail policy for unphysical draws (duration <= 0 or a < -1).
 MAX_RESAMPLES = 100
-# Samples per Monte Carlo block (montecarlo partitions its runs by it); each
-# thread's reused draw buffer holds the uniforms of one block.
+# Samples per Monte Carlo block (montecarlo partitions its runs by it, and
+# each block has its own Philox stream); each thread's reused draw buffer
+# holds the two variates per sample of one block.
 BLOCK = 8192
 
-_scratch = threading.local()  # this thread's uniform buffer, reused by every draw
+_scratch = threading.local()  # this thread's variate buffer, reused by every draw
 
 
 class RejectedSampleError(RuntimeError):
@@ -69,36 +71,44 @@ def _is_physical(duration_s, amp, shift):
     return (duration_s + shift > 0.0) & (amp >= -1.0)
 
 
-def _uniforms(seed, attempt, start, stop):
-    # Words 2 start to 2 stop - 1 of the Philox4x64 stream under key
-    # (seed, attempt), each as the uniform (word >> 11) 2**-53 on [0, 1), in
-    # this thread's reused buffer; a range beyond one BLOCK gets a one-off
-    # array.  Counter block c holds words 4c..4c+3, so an odd start skips the
-    # first word pair of block start // 2.  The key is built as uint64 so
-    # seeds >= 2**63 stay exact.
-    skip = 2 * (start % 2)
-    size = skip + 2 * (stop - start)
-    buf = getattr(_scratch, "uniforms", None)
+def _variates(seed, attempt, block, size, distribution):
+    # The first `size` variates of block `block`'s stream under key (seed,
+    # attempt), in this thread's reused buffer: the Philox4x64 stream with
+    # initial counter (0, block, 0, 0), read by Generator.standard_normal
+    # (numpy's ziggurat) or Generator.random.  A block's stream advances only
+    # counter word 0, by far less than 2**64, so streams never overlap.  The
+    # key and counter are built as uint64 so seeds >= 2**63 stay exact.
+    buf = getattr(_scratch, "variates", None)
     if buf is None:
-        buf = _scratch.uniforms = np.empty(2 * BLOCK + 2)  # one BLOCK from any start
-    buf = buf[:size] if size <= buf.size else np.empty(size)
-    bitgen = np.random.Philox(key=np.array([seed, attempt], dtype=np.uint64)).advance(start // 2)
-    return np.random.Generator(bitgen).random(out=buf)[skip:]
+        buf = _scratch.variates = np.empty(2 * BLOCK)  # two variates per sample
+    bitgen = np.random.Philox(counter=np.array([0, block, 0, 0], dtype=np.uint64),
+                              key=np.array([seed, attempt], dtype=np.uint64))
+    generator = np.random.Generator(bitgen)
+    if distribution == "gaussian":
+        return generator.standard_normal(out=buf[:size])
+    return generator.random(out=buf[:size])
 
 
 def _block_errors(seed, attempt, start, stop, noise):
-    # Sample i reads words 2(i mod 2) and 2(i mod 2)+1 of Philox4x64 counter
-    # block i // 2 under key (seed, attempt).  The returned arrays are new,
-    # never views of the buffer.
-    u = _uniforms(seed, attempt, start, stop)
-    u0, u1 = u[0::2], u[1::2]
-    if noise.distribution == "gaussian":  # Box-Muller, its angle on [-pi, pi)
-        radius = np.sqrt(-2.0 * np.log1p(-u0))
-        angle = math.pi * (2.0 * u1 - 1.0)
-        return noise.sigma_a * radius * np.cos(angle), noise.sigma_t_s * radius * np.sin(angle)
-    scale = math.sqrt(3.0)
-    return (noise.sigma_a * scale * (2.0 * u0 - 1.0),
-            noise.sigma_t_s * scale * (2.0 * u1 - 1.0))
+    # Sample i = k BLOCK + j reads variates 2j and 2j+1 of block k's stream
+    # under key (seed, attempt).  A ziggurat variate takes a variable number
+    # of words, so the range is split at block boundaries and each part draws
+    # its block's prefix up to the part's end and slices it.  The returned
+    # arrays are new, never views of the buffer.
+    amp, shift = np.empty(stop - start), np.empty(stop - start)
+    scale_a, scale_t = noise.sigma_a, noise.sigma_t_s
+    if noise.distribution == "uniform":
+        scale_a, scale_t = scale_a * math.sqrt(3.0), scale_t * math.sqrt(3.0)
+    for block in range(start // BLOCK, (stop - 1) // BLOCK + 1):
+        lo, hi = max(start, block * BLOCK), min(stop, (block + 1) * BLOCK)
+        z = _variates(seed, attempt, block, 2 * (hi - block * BLOCK), noise.distribution)
+        if noise.distribution == "uniform":  # sigma sqrt(3) (2u - 1)
+            z *= 2.0
+            z -= 1.0
+        j = 2 * (lo - block * BLOCK)
+        np.multiply(z[j::2], scale_a, out=amp[lo - start:hi - start])
+        np.multiply(z[j + 1::2], scale_t, out=shift[lo - start:hi - start])
+    return amp, shift
 
 
 def draw_errors_block(seed, start, stop, duration_s, noise):
@@ -106,12 +116,16 @@ def draw_errors_block(seed, start, stop, duration_s, noise):
 
     Counter-based (Salmon et al., SC'11): sample i is a function of (seed, i)
     alone, so any partition of the sample range gives the same draws.
-    Sample i reads the word pair 2(i mod 2), 2(i mod 2)+1 of Philox4x64
-    counter block i // 2 under key (seed, 0), so two samples share a
-    counter block.  Gaussian errors come from Box-Muller on that pair's two
-    uniforms, with the angle pi (2 u1 - 1) on [-pi, pi); uniform errors scale
-    the two uniforms directly.  Unphysical draws are redrawn from the same
-    word pair under key (seed, attempt) for attempt = 1..MAX_RESAMPLES, then
+    Block k = i // BLOCK has its own Philox4x64 stream, with key (seed, 0)
+    and initial counter (0, k, 0, 0), and sample i takes variates 2j and
+    2j+1 of it, j = i - k BLOCK.  Gaussian errors are sigma times
+    Generator.standard_normal (numpy's ziggurat, Marsaglia & Tsang 2000);
+    uniform errors are sigma sqrt(3) (2u - 1) of Generator.random.  A
+    ziggurat variate takes a variable number of words, so a sample depends on
+    the earlier samples of its block, and each block's prefix [k BLOCK, stop)
+    is drawn and sliced; whole blocks, as the estimator asks for, pay nothing
+    extra.  Unphysical draws are redrawn from the same position of block k's
+    stream under key (seed, attempt) for attempt = 1..MAX_RESAMPLES, then
     RejectedSampleError names the sample.
     `rejected` counts the discarded draws of each sample.
     """

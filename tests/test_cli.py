@@ -3,12 +3,14 @@
 import csv
 import json
 import math
+import platform
 import re
 from dataclasses import asdict, fields
 
+import numpy as np
 import pytest
 
-from exchsim import budget, cli, montecarlo
+from exchsim import budget, cli, montecarlo, noise
 from exchsim.dephasing import DephasingSpec
 from exchsim.gates import pulse_for_target
 from exchsim.montecarlo import McConfig
@@ -203,6 +205,8 @@ class TestMcCommand:
         assert manifest["seed"] == 0
         assert manifest["parameters"]["n_samples"] == 50
         assert manifest["rng_scheme"] == montecarlo.RNG_SCHEME
+        assert manifest["python_version"] == platform.python_version()
+        assert manifest["numpy_version"] == np.__version__
 
     def test_dephasing_flag_enters_analytic_prediction(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -228,6 +232,42 @@ class TestMcCommand:
         assert rc == 2
         assert "duration" in captured.err
         assert "Traceback" not in captured.err
+
+
+class TestGoldenStream:
+    """Seeded outputs pinned bit for bit under the RNG scheme.
+
+    Gaussian draws come from numpy's standard_normal, whose stream NEP 19 does
+    not promise across numpy versions; a numpy whose stream (or whose float64
+    kernels) differ fails here instead of silently changing seeded outputs.
+    """
+
+    SEED = 2**64 - 1
+    FIRST_DRAWS = {  # variates 0..3 of blocks 0 and 1 of the seed's stream
+        0: ["-0x1.6263d495cd1d9p+1", "0x1.ad8c353429341p+0",
+            "-0x1.cf161705b3e36p-2", "0x1.41ecaa3154b2dp+1"],
+        1: ["0x1.8cfbff71904ebp-1", "0x1.06f34f00c92c2p+0",
+            "-0x1.6a078d52bea13p-1", "-0x1.c21de36c1a44bp-2"],
+    }
+
+    @pytest.mark.parametrize("block", [0, 1])
+    def test_first_draws_of_a_block(self, block):
+        # sigma 2**-10 scales exactly, and T = 1 s keeps every draw physical
+        spec = ControlNoiseSpec(sigma_a=2.0**-10, sigma_t_s=2.0**-10)
+        start = block * montecarlo.BLOCK
+        amp, shift, rejected = noise.draw_errors_block(self.SEED, start, start + 2, 1.0, spec)
+        assert not rejected.any()
+        draws = [amp[0], shift[0], amp[1], shift[1]]
+        assert [float(v * 2.0**10).hex() for v in draws] == self.FIRST_DRAWS[block]
+
+    def test_mc_csv_bytes(self, tmp_path, capsys):
+        n = 3 * montecarlo.BLOCK + 17
+        assert cli.main(["mc", "--alpha", "0.5", "--sigma-a", "1e-3", "--sigma-t", "1e-12",
+                         "--n", str(n), "--seed", str(self.SEED), "--out", str(tmp_path)]) == 0
+        assert read_bytes(tmp_path / "mc.csv") == (
+            b"axis_value,mean_infidelity,stderr,analytic_prediction,n_samples,seed\n"
+            b",4.80586453936732772e-07,4.25572692135811194e-09,4.81143214553106153e-07,"
+            b"24593,18446744073709551615\n")
 
 
 class TestSweepCommand:
@@ -260,6 +300,8 @@ class TestSweepCommand:
                          "--out", str(out)]) == 0
         manifest = json.loads(read_bytes(out / "sweep_manifest.json"))
         assert manifest["rng_scheme"] == montecarlo.RNG_SCHEME
+        assert manifest["python_version"] == platform.python_version()
+        assert manifest["numpy_version"] == np.__version__
 
     def test_unknown_axis_is_input_error(self, tmp_path, capsys):
         rc = cli.main(["sweep", "--axis", "voltage", "--values", "1,2",

@@ -76,12 +76,25 @@ class TestConfigValidation:
         ({"sigma_t": 1e308}, "sigma_t_s / duration"),
         # sigma_t / T = 1, but T + t overflows
         ({"alpha": 0.0, "duration": 1e308, "sigma_t": 1e308}, "sigma_t_s / duration"),
+        # just outside the bound: (pi/2) x (2 + x) overflows at x = 13.71 * 8e152
+        ({"sigma_a": 8e152}, "sensitivity * sigma_a"),
+        ({"sigma_t": 5e-9 * 8e152}, "sigma_t_s / duration"),
     ])
     def test_rejects_noise_whose_extreme_draw_overflows(self, kwargs, name):
-        with pytest.raises(ValueError, match=re.escape(name)):
+        with pytest.raises(ValueError, match=re.escape(name) + ".* 13.71-sigma draw overflow"):
             make_config(**kwargs)
 
-    @pytest.mark.parametrize("kwargs", [{"sigma_a": 1e153}, {"sigma_t": 5e-9 * 1e153}])
+    def test_max_radius_is_the_ziggurat_bound(self):
+        # numpy's random_standard_normal returns |z| < R below its tail start
+        # R and R + x in the tail, with x = -ln(1 - u) / R <= 53 ln 2 / R for a
+        # 53-bit uniform u < 1.
+        r = 3.6541528853610088
+        assert montecarlo._MAX_RADIUS == r + 53.0 * math.log(2.0) / r
+        assert f"{montecarlo._MAX_RADIUS:.2f}" == "13.71"
+
+    # 7e152 is the largest one-digit sigma inside the 13.71-sigma bound; the
+    # 8.57-sigma Box-Muller bound of RNG v3 admitted 1e153.
+    @pytest.mark.parametrize("kwargs", [{"sigma_a": 7e152}, {"sigma_t": 5e-9 * 7e152}])
     def test_noise_just_inside_the_bound_scores_finite(self, kwargs):
         cfg = make_config(n=BLOCK, **kwargs)
         result = estimate_infidelity(cfg)

@@ -55,7 +55,7 @@ class TestSamplePulse:
 
     def test_resample_exhaustion_raises(self, monkeypatch):
         spec = noise.ControlNoiseSpec(sigma_a=0.0, sigma_t_s=NOMINAL.duration_s)
-        seed = 2  # the first draw under this seed's key has T + t <= 0
+        seed = 7  # the lowest seed whose key's first draw has T + t <= 0
         key = int(_rng(seed).integers(2**64, dtype=np.uint64))
         assert noise.draw_errors_block(key, 0, 1, NOMINAL.duration_s, spec)[2][0] > 0
         monkeypatch.setattr(noise, "MAX_RESAMPLES", 0)
@@ -85,29 +85,37 @@ def block_draws(seed, n, duration_s, spec):
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
-def reference_uniforms(seed, attempt, index):
-    """Uniforms (u0, u1) of sample `index`: word pair index mod 2 of counter block index // 2."""
-    key = np.array([seed, attempt], dtype=np.uint64)
-    words = np.random.Philox(key=key).advance(index // 2).random_raw(4)
-    pair = 2 * (index % 2)
-    return tuple(int(word >> 11) * 2.0**-53 for word in words[pair:pair + 2])
+def reference_variates(seed, attempt, index, distribution):
+    """Variates 2j and 2j+1 of block k's stream under key (seed, attempt), index = k BLOCK + j."""
+    block, j = divmod(index, BLOCK)
+    bitgen = np.random.Philox(counter=np.array([0, block, 0, 0], dtype=np.uint64),
+                              key=np.array([seed, attempt], dtype=np.uint64))
+    generator = np.random.Generator(bitgen)
+    draw = generator.standard_normal if distribution == "gaussian" else generator.random
+    variates = draw(2 * j + 2)
+    return float(variates[2 * j]), float(variates[2 * j + 1])
 
 
 def scalar_reference_draw(seed, index, duration_s, spec):
-    """Sample `index` of draw_errors_block, attempt by attempt with `math`."""
+    """Sample `index` of draw_errors_block, attempt by attempt from a fresh stream."""
     for attempt in range(noise.MAX_RESAMPLES + 1):
-        u0, u1 = reference_uniforms(seed, attempt, index)
+        v0, v1 = reference_variates(seed, attempt, index, spec.distribution)
         if spec.distribution == "gaussian":
-            radius = math.sqrt(-2.0 * math.log1p(-u0))
-            angle = math.pi * (2.0 * u1 - 1.0)
-            amp = spec.sigma_a * radius * math.cos(angle)
-            shift = spec.sigma_t_s * radius * math.sin(angle)
+            amp, shift = spec.sigma_a * v0, spec.sigma_t_s * v1
         else:
-            amp = spec.sigma_a * math.sqrt(3.0) * (2.0 * u0 - 1.0)
-            shift = spec.sigma_t_s * math.sqrt(3.0) * (2.0 * u1 - 1.0)
+            amp = spec.sigma_a * math.sqrt(3.0) * (2.0 * v0 - 1.0)
+            shift = spec.sigma_t_s * math.sqrt(3.0) * (2.0 * v1 - 1.0)
         if duration_s + shift > 0.0 and amp >= -1.0:
             return amp, shift, attempt
     raise AssertionError(f"sample {index} has no physical draw")
+
+
+def normal_ks_statistic(draws):
+    """Kolmogorov-Smirnov distance of the draws' empirical CDF from the standard normal CDF."""
+    x = np.sort(draws)
+    cdf = np.array([0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in x])
+    n = x.size
+    return max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n))
 
 
 class TestDrawErrorsBlock:
@@ -129,14 +137,11 @@ class TestDrawErrorsBlock:
     ])
     def test_slices_equal_single_index_calls_and_scalar_reference(self, name, start, stop):
         spec = self.SPECS[name]
-        uniforms = noise._uniforms(self.SEED, 0, start, stop).copy()
-        assert uniforms.shape == (2 * (stop - start),)
         amp, shift, rejected = noise.draw_errors_block(self.SEED, start, stop, self.T, spec)
         assert amp.shape == shift.shape == rejected.shape == (stop - start,)
         for k, i in enumerate(range(start, stop)):
             one = noise.draw_errors_block(self.SEED, i, i + 1, self.T, spec)
             assert (amp[k], shift[k], rejected[k]) == (one[0][0], one[1][0], one[2][0])
-            assert tuple(uniforms[2 * k:2 * k + 2]) == reference_uniforms(self.SEED, 0, i)
             ref_amp, ref_shift, ref_rejected = scalar_reference_draw(self.SEED, i, self.T, spec)
             assert amp[k] == pytest.approx(ref_amp, rel=1e-12, abs=0.0)
             assert shift[k] == pytest.approx(ref_shift, rel=1e-12, abs=0.0)
@@ -150,6 +155,7 @@ class TestDrawErrorsBlock:
     def test_a_second_draw_leaves_the_first_draws_arrays_unchanged(self, name):
         spec = self.SPECS[name]
         first = noise.draw_errors_block(self.SEED, 0, BLOCK, self.T, spec)
+        assert not any(np.shares_memory(array, noise._scratch.variates) for array in first)
         kept = tuple(array.copy() for array in first)
         noise.draw_errors_block(3, 0, BLOCK, self.T, spec)
         for array, copy in zip(first, kept):
@@ -159,9 +165,9 @@ class TestDrawErrorsBlock:
     def test_a_range_beyond_one_block_equals_its_block_slices(self, start):
         spec, stop = self.SPECS["gaussian-rejections"], start + 3 * BLOCK + 17
         noise.draw_errors_block(self.SEED, 0, 1, self.T, spec)  # this thread's buffer exists
-        buffer = noise._scratch.uniforms
+        buffer = noise._scratch.variates
         whole = noise.draw_errors_block(self.SEED, start, stop, self.T, spec)
-        assert noise._scratch.uniforms is buffer  # a one-off array, not a grown buffer
+        assert noise._scratch.variates is buffer  # one BLOCK at a time, never a grown buffer
         parts = [noise.draw_errors_block(self.SEED, i, min(i + BLOCK, stop), self.T, spec)
                  for i in range(start, stop, BLOCK)]
         for array, sliced in zip(whole, zip(*parts)):
@@ -180,6 +186,17 @@ class TestDrawErrorsBlock:
                 # zero-mean uniform with stddev sigma has half-width sigma*sqrt(3)
                 for draws, sigma in ((amp, spec.sigma_a), (shift, spec.sigma_t_s)):
                     assert np.max(np.abs(draws)) <= sigma * math.sqrt(3.0) * (1 + 1e-12)
+
+    def test_gaussian_draws_pass_a_kolmogorov_smirnov_test(self):
+        # 4 BLOCK samples from mid-block 0 to mid-block 4, so every block
+        # boundary they cross is inside the range.  The KS distance of n normal
+        # draws exceeds 1.95 / sqrt(n) with probability about 1e-3.
+        spec, start = self.SPECS["gaussian"], BLOCK // 2
+        amp, shift, rejected = noise.draw_errors_block(11, start, start + 4 * BLOCK, self.T, spec)
+        assert rejected.sum() == 0
+        bound = 1.95 / math.sqrt(4 * BLOCK)
+        assert normal_ks_statistic(amp / spec.sigma_a) < bound
+        assert normal_ks_statistic(shift / spec.sigma_t_s) < bound
 
     def test_gaussian_rejection_fraction_is_tiny_at_sigma_t_below_t_over_5(self):
         # analytic rejection probability at the boundary sigma_t = T/5 is

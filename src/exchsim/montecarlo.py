@@ -127,6 +127,8 @@ def _area_term(cfg, a, t):
 def _score(cfg, t, area):
     """Infidelities of cfg's gate under the drawn timing errors t, given its _area_term."""
     dephasing = cfg.dephasing or _NO_DEPHASING
+    if dephasing.t2_q1_s == dephasing.t2_q2_s == math.inf:
+        return 0.75 * area  # p1 = p2 = 0, so the realized duration is not needed
     realized = cfg.nominal.duration_s + t
     p1 = _flip_probabilities(realized, dephasing.t2_q1_s)
     p2 = (p1 if dephasing.t2_q2_s == dephasing.t2_q1_s  # one array when the qubits share T2

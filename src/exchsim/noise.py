@@ -90,24 +90,22 @@ def _variates(seed, attempt, block, size, distribution):
 
 
 def _block_errors(seed, attempt, start, stop, noise):
-    # Sample i = k BLOCK + j reads variates 2j and 2j+1 of block k's stream
-    # under key (seed, attempt).  A ziggurat variate takes a variable number
-    # of words, so the range is split at block boundaries and each part draws
-    # its block's prefix up to the part's end and slices it.  The returned
-    # arrays are new, never views of the buffer.
+    # Errors of samples start..stop-1 under key (seed, attempt), one block at
+    # a time: each part draws its block's prefix up to the part's end and
+    # slices it (see draw_errors_block).  The returned arrays are new, never
+    # views of the buffer.
+    uniform = noise.distribution == "uniform"
+    scale = math.sqrt(3.0) if uniform else 1.0  # uniform errors: sigma sqrt(3) (2u - 1)
     amp, shift = np.empty(stop - start), np.empty(stop - start)
-    scale_a, scale_t = noise.sigma_a, noise.sigma_t_s
-    if noise.distribution == "uniform":
-        scale_a, scale_t = scale_a * math.sqrt(3.0), scale_t * math.sqrt(3.0)
     for block in range(start // BLOCK, (stop - 1) // BLOCK + 1):
         lo, hi = max(start, block * BLOCK), min(stop, (block + 1) * BLOCK)
         z = _variates(seed, attempt, block, 2 * (hi - block * BLOCK), noise.distribution)
-        if noise.distribution == "uniform":  # sigma sqrt(3) (2u - 1)
+        if uniform:
             z *= 2.0
             z -= 1.0
         j = 2 * (lo - block * BLOCK)
-        np.multiply(z[j::2], scale_a, out=amp[lo - start:hi - start])
-        np.multiply(z[j + 1::2], scale_t, out=shift[lo - start:hi - start])
+        np.multiply(z[j::2], noise.sigma_a * scale, out=amp[lo - start:hi - start])
+        np.multiply(z[j + 1::2], noise.sigma_t_s * scale, out=shift[lo - start:hi - start])
     return amp, shift
 
 

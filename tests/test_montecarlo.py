@@ -92,8 +92,7 @@ class TestConfigValidation:
         assert montecarlo._MAX_RADIUS == r + 53.0 * math.log(2.0) / r
         assert f"{montecarlo._MAX_RADIUS:.2f}" == "13.71"
 
-    # 7e152 is the largest one-digit sigma inside the 13.71-sigma bound; the
-    # 8.57-sigma Box-Muller bound of RNG v3 admitted 1e153.
+    # 7e152 is the largest one-digit sigma inside the 13.71-sigma bound.
     @pytest.mark.parametrize("kwargs", [{"sigma_a": 7e152}, {"sigma_t": 5e-9 * 7e152}])
     def test_noise_just_inside_the_bound_scores_finite(self, kwargs):
         cfg = make_config(n=BLOCK, **kwargs)

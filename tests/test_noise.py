@@ -188,9 +188,9 @@ class TestDrawErrorsBlock:
                     assert np.max(np.abs(draws)) <= sigma * math.sqrt(3.0) * (1 + 1e-12)
 
     def test_gaussian_draws_pass_a_kolmogorov_smirnov_test(self):
-        # 4 BLOCK samples from mid-block 0 to mid-block 4, so every block
-        # boundary they cross is inside the range.  The KS distance of n normal
-        # draws exceeds 1.95 / sqrt(n) with probability about 1e-3.
+        # 4 BLOCK samples from the middle of block 0 to the middle of block 4:
+        # four block boundaries and two block prefixes.  The KS distance of n
+        # normal draws exceeds 1.95 / sqrt(n) with probability about 1e-3.
         spec, start = self.SPECS["gaussian"], BLOCK // 2
         amp, shift, rejected = noise.draw_errors_block(11, start, start + 4 * BLOCK, self.T, spec)
         assert rejected.sum() == 0

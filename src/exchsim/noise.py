@@ -30,7 +30,7 @@ MAX_RESAMPLES = 100
 # holds the two variates per sample of one block.
 BLOCK = 8192
 
-_scratch = threading.local()  # this thread's variate buffer, reused by every draw
+_scratch = threading.local()  # this thread's variate buffer and generator, reused by every draw
 
 
 class RejectedSampleError(RuntimeError):
@@ -77,16 +77,22 @@ def _variates(seed, attempt, block, size, distribution):
     # initial counter (0, block, 0, 0), read by Generator.standard_normal
     # (numpy's ziggurat) or Generator.random.  A block's stream advances only
     # counter word 0, by far less than 2**64, so streams never overlap.  The
-    # key and counter are built as uint64 so seeds >= 2**63 stay exact.
-    buf = getattr(_scratch, "variates", None)
-    if buf is None:
-        buf = _scratch.variates = np.empty(2 * BLOCK)  # two variates per sample
-    bitgen = np.random.Philox(counter=np.array([0, block, 0, 0], dtype=np.uint64),
-                              key=np.array([seed, attempt], dtype=np.uint64))
-    generator = np.random.Generator(bitgen)
+    # thread's one Philox is set to the state a new Philox(counter=...,
+    # key=...) starts in (empty output buffer), which skips the OS-entropy
+    # SeedSequence numpy builds for every new Philox, even a keyed one.
+    generator = getattr(_scratch, "generator", None)
+    if generator is None:
+        _scratch.variates = np.empty(2 * BLOCK)  # two variates per sample
+        generator = _scratch.generator = np.random.Generator(np.random.Philox())
+    generator.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, block, 0, 0), "key": (seed, attempt)},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    buf = _scratch.variates[:size]
     if distribution == "gaussian":
-        return generator.standard_normal(out=buf[:size])
-    return generator.random(out=buf[:size])
+        return generator.standard_normal(out=buf)
+    return generator.random(out=buf)
 
 
 def _block_errors(seed, attempt, start, stop, noise):

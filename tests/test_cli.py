@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import os
 import platform
 import re
 from dataclasses import asdict, fields
@@ -381,6 +382,93 @@ class TestManifestParameters:
         assert params == {key: report[key] for key in params}
         assert set(report) - set(params) == {f.name for f in fields(budget.FeasibilityReport)}
         assert params["strict_bandwidth"] is bool(strict)
+
+
+class TestOutputRewrite:
+    """Outputs are rewritten in place: opened without O_TRUNC, cut to length after."""
+
+    COMMANDS = {
+        "feasibility": (["feasibility", "--platform", "si-spin", "--tech",
+                         "modelocked-laser-10GHz", "--epsilon", "1e-5"],
+                        ["feasibility.txt", "feasibility.json"]),
+        "mc": (["mc", "--sigma-a", "1e-3", "--sigma-t", "1e-12", "--n", "100", "--seed", "5"],
+               ["mc.csv"]),
+        "sweep": (["sweep", "--axis", "t2", "--values", "5e-5,1e-4,5e-4,1e-3,5e-3",
+                   "--sigma-a", "1e-3", "--t2", "1e-3", "--n", "100", "--seed", "5"],
+                  ["sweep.csv"]),
+    }
+
+    @staticmethod
+    def fill_with_junk(out, names, size):
+        out.mkdir(parents=True, exist_ok=True)
+        for name in names:
+            (out / name).write_bytes(b"stale,junk\n" * (size // 11 + 1))
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_rewrite_over_longer_stale_files_equals_a_fresh_run(self, tmp_path, capsys, command):
+        argv, primary = self.COMMANDS[command]
+        manifest = f"{command}_manifest.json"
+        assert cli.main(argv + ["--out", str(tmp_path / "fresh")]) == 0
+        fresh = {name: read_bytes(tmp_path / "fresh" / name) for name in primary}
+        longest = max(len(read_bytes(tmp_path / "fresh" / name)) for name in primary + [manifest])
+        self.fill_with_junk(tmp_path / "stale", primary + [manifest], 4 * longest)
+        assert cli.main(argv + ["--out", str(tmp_path / "stale")]) == 0
+        for name in primary:
+            assert read_bytes(tmp_path / "stale" / name) == fresh[name]
+        assert json.loads(read_bytes(tmp_path / "stale" / manifest))["command"] == command
+
+    def test_one_row_sweep_over_a_five_row_csv(self, tmp_path, capsys):
+        argv, _ = self.COMMANDS["sweep"]
+        one_row = list(argv)
+        one_row[argv.index("--values") + 1] = "1e-3"
+        assert cli.main(one_row + ["--out", str(tmp_path / "fresh")]) == 0
+        assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 0
+        assert cli.main(one_row + ["--out", str(tmp_path / "out")]) == 0
+        written = read_bytes(tmp_path / "out" / "sweep.csv")
+        assert written == read_bytes(tmp_path / "fresh" / "sweep.csv")
+        assert len(written.splitlines()) == 2
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_no_output_is_opened_with_o_trunc(self, tmp_path, capsys, monkeypatch, command):
+        argv, primary = self.COMMANDS[command]
+        out = tmp_path / "out"
+        self.fill_with_junk(out, primary, 1)  # existing files, as in a rerun
+        opened = {}
+        os_open = os.open
+
+        def spy(path, flags, *args, **kwargs):
+            opened[os.fspath(path)] = flags
+            return os_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", spy)
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        written = {str(out / name) for name in primary + [f"{command}_manifest.json"]}
+        assert written <= set(opened)  # every output goes through os.open
+        assert not [path for path in written if opened[path] & os.O_TRUNC]
+
+    @pytest.mark.parametrize("command, name", [
+        ("mc", "mc.csv"), ("sweep", "sweep.csv"), ("feasibility", "feasibility.txt"),
+        ("feasibility", "feasibility.json"), ("mc", "mc_manifest.json"),
+    ])
+    def test_output_path_that_is_a_directory_is_input_error(self, tmp_path, capsys, command,
+                                                            name):
+        argv, _ = self.COMMANDS[command]
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+
+        def lowest_free_fd():
+            fd = os.open(os.devnull, os.O_RDONLY)
+            os.close(fd)
+            return fd
+
+        before = lowest_free_fd()
+        rc = cli.main(argv + ["--out", str(out)])
+        after = lowest_free_fd()
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and str(out / name) in err
+        assert "Traceback" not in err
+        assert after == before  # no descriptor left open
 
 
 class TestCatalogCommand:

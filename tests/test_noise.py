@@ -173,6 +173,21 @@ class TestDrawErrorsBlock:
         for array, sliced in zip(whole, zip(*parts)):
             assert np.array_equal(array, np.concatenate(sliced))
 
+    def test_draws_reuse_this_threads_generator(self, monkeypatch):
+        # A new Philox builds an OS-entropy SeedSequence even when given a key,
+        # so each thread keeps one and re-keys it per block and attempt.
+        spec, stop = self.SPECS["uniform-rejections"], 2 * BLOCK + 17
+        expected = noise.draw_errors_block(self.SEED, 0, stop, self.T, spec)
+
+        def no_new_philox(*args, **kwargs):
+            raise AssertionError("a draw built a new Philox")
+
+        monkeypatch.setattr(np.random, "Philox", no_new_philox)
+        drawn = noise.draw_errors_block(self.SEED, 0, stop, self.T, spec)
+        assert drawn[2].sum() > 0  # redraw attempts re-key the same generator too
+        for array, want in zip(drawn, expected):
+            assert np.array_equal(array, want)
+
     def test_moments_match_the_spec(self):
         for name, n in (("gaussian", 1_000_000), ("uniform", 200_000)):
             spec = self.SPECS[name]

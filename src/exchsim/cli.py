@@ -34,7 +34,7 @@ from .gates import (
     swap_power_target,
 )
 from .montecarlo import McConfig, SWEEP_AXES
-from .noise import ControlNoiseSpec, DISTRIBUTIONS, RejectedSampleError
+from .noise import RNG_SCHEME, ControlNoiseSpec, DISTRIBUTIONS, RejectedSampleError
 
 CATALOG_ENV_VAR = "EXCHSIM_CATALOG"
 DEFAULT_EPSILON = 1e-5
@@ -67,24 +67,21 @@ def _write_file(path, text):
         fh.truncate()
 
 
-def _write_json(path, payload):
-    _write_file(path, json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n")
+def _json_text(value):
+    """value as indented JSON with sorted keys and a final newline; inf and nan as strings."""
+    return json.dumps(_jsonable(value), indent=2, sort_keys=True) + "\n"
 
 
 def _write_manifest(out_dir, command, parameters, seed, outputs, started, **extra):
-    path = os.path.join(out_dir, f"{command}_manifest.json")
-    _write_json(
-        path,
-        {
-            "command": command,
-            "version": __version__,
-            "seed": seed,
-            "parameters": parameters,
-            "outputs": sorted(outputs),
-            "duration_seconds": time.monotonic() - started,
-            **extra,
-        },
-    )
+    _write_file(os.path.join(out_dir, f"{command}_manifest.json"), _json_text({
+        "command": command,
+        "version": __version__,
+        "seed": seed,
+        "parameters": parameters,
+        "outputs": sorted(outputs),
+        "duration_seconds": time.monotonic() - started,
+        **extra,
+    }))
 
 
 def _load_spec_file(path):
@@ -151,6 +148,10 @@ def _resolve_technology(args, loaded):
         raise ValueError(f"unknown technology {args.tech!r}; try the catalog command")
     if len(file_techs) == 1:
         return file_techs[0]
+    if file_techs:
+        names = ", ".join(tech.name for tech in file_techs)
+        raise ValueError(f"the spec file has {len(file_techs)} technologies ({names}): "
+                         "choose one with --tech")
     raise ValueError("no technology given: use --tech, --sigma-a/--sigma-t, or a spec file")
 
 
@@ -217,7 +218,7 @@ def cmd_feasibility(args):
         "strict_bandwidth": args.strict_bandwidth,
     }
     # vars, not asdict: no deep copy; _jsonable lists the tuples
-    _write_json(json_path, {**inputs, **vars(report)})
+    _write_file(json_path, _json_text({**inputs, **vars(report)}))
     _write_manifest(args.out, "feasibility", inputs, None, [txt_path, json_path], started)
     return 0
 
@@ -298,7 +299,7 @@ def _write_mc_outputs(args, cfg, rows, started, **parameters):
     _write_file(csv_path, text.getvalue())
     _write_manifest(args.out, args.command,
                     {**asdict(cfg), "workers": args.workers, **parameters}, cfg.seed,
-                    [csv_path], started, rng_scheme=montecarlo.RNG_SCHEME,
+                    [csv_path], started, rng_scheme=RNG_SCHEME,
                     python_version=platform.python_version(), numpy_version=np.__version__)
     return csv_path
 
@@ -344,7 +345,7 @@ def cmd_sweep(args):
 def cmd_catalog(args):
     entries = budget.merge_catalog(_user_technologies(args.file))
     if args.format == "json":
-        print(json.dumps(_jsonable([asdict(t) for t in entries]), indent=2, sort_keys=True))
+        print(_json_text([asdict(t) for t in entries]), end="")
         return 0
     header = (
         f"{'name':<28} {'sigma_a (dimensionless)':>24} {'sigma_t (s)':>14} "

@@ -101,7 +101,11 @@ def pulse_for_target(alpha, duration_s):
     duration_s, alpha = _checked_duration(duration_s), _checked_alpha(alpha)
     if alpha < 0.0:  # a pulse's exchange strength J cannot be negative
         raise ValueError(f"alpha must be >= 0 (alpha + 2 is the same gate), got {alpha!r}")
-    return constant_pulse(2.0 * math.pi * alpha / duration_s, duration_s)
+    j = 2.0 * math.pi * alpha / duration_s
+    if j == math.inf:
+        raise ValueError(f"duration = {duration_s!r} s is too short for alpha = {alpha!r}: "
+                         "the exchange strength 2 pi alpha / duration overflows")
+    return constant_pulse(j, duration_s)
 
 
 def phase_from_pulse(pulse):

@@ -14,13 +14,10 @@ route (exchange_unitary, dephasing_channel, entanglement_fidelity) is the
 independent oracle the tests compare against.
 
 Samples are drawn and scored as arrays in fixed blocks [k BLOCK, (k+1) BLOCK)
-of the sample index.  Each block has its own Philox4x64 stream under key
-(seed, 0), with initial counter (0, k, 0, 0), and sample k BLOCK + j takes
-variates 2j and 2j+1 of it: numpy's ziggurat for gaussian noise (see
-noise.draw_errors_block; RNG_SCHEME names this scheme).  The blocks do not
-depend on the worker count.  Each block is reduced where it is
-scored, and the block records are merged in block order, so results are
-bit-identical for any n_workers.
+of the sample index, each drawn by one noise.draw_errors_block call (which
+states the stream layout), so the blocks do not depend on the worker count.
+Each block is reduced where it is scored, and the block records are merged
+in block order, so results are bit-identical for any n_workers.
 
 A sweep is one pass over the blocks, and its rows that share a draw key
 (seed, duration, effective noise) share the draws, so each row is
@@ -39,20 +36,7 @@ import numpy as np
 from .budget import Threshold
 from .dephasing import DephasingSpec, flip_probability
 from .gates import PulseSpec, phase_from_pulse, pulse_for_target
-from .noise import BLOCK, ControlNoiseSpec, draw_errors_block
-
-# Sample i = k BLOCK + j: variates 2j and 2j+1 of block k's Philox4x64 stream
-# (key (seed, 0), initial counter (0, k, 0, 0)), Generator.standard_normal for
-# gaussian noise, redraws from the same position under key (seed, attempt).
-RNG_SCHEME = "philox4x64-block-stream-v4"
-# The largest |z| numpy's ziggurat (random_standard_normal) can return.  The
-# layers below the tail return |z| < R, the tail start R = 3.6541528853610088.
-# The tail returns R + x with x = -ln(1 - u) / R and u = (word >> 11) 2**-53
-# <= 1 - 2**-53, so x <= 53 ln 2 / R.  (Its acceptance test 2 y > x**2, with
-# y <= 53 ln 2 likewise, caps x at sqrt(106 ln 2) = 8.57 < 10.05, so this bound
-# also covers the rounding of x.)  Uniform draws reach only sqrt(3).
-_ZIGGURAT_R = 3.6541528853610088
-_MAX_RADIUS = _ZIGGURAT_R + 53.0 * math.log(2.0) / _ZIGGURAT_R
+from .noise import _MAX_RADIUS, BLOCK, ControlNoiseSpec, draw_errors_block
 
 _NO_DEPHASING = DephasingSpec(math.inf)  # T2 = inf: flip probabilities exactly 0
 
@@ -167,13 +151,14 @@ def _estimate(cfgs, n_workers):
         areas = groups.setdefault((cfg.seed, cfg.nominal.duration_s, eff_noise), {})
         areas.setdefault((cfg.nominal, cfg.target_alpha), []).append(row)
     n = cfgs[0].n_samples
-    starts = range(0, n, BLOCK)
-    workers = min(n_workers, len(starts), os.cpu_count() or 1)
+    blocks = range(-(-n // BLOCK))
+    workers = min(n_workers, len(blocks), os.cpu_count() or 1)
 
-    def run_block(start):
+    def run_block(block):
         records = [None] * len(cfgs)
         for (seed, duration, noise), areas in groups.items():
-            a, t, rejected = draw_errors_block(seed, start, min(start + BLOCK, n), duration, noise)
+            a, t, rejected = draw_errors_block(seed, block, min(BLOCK, n - block * BLOCK),
+                                               duration, noise)
             redraws = int(np.sum(rejected))
             for rows in areas.values():
                 area = _area_term(cfgs[rows[0]], a, t)
@@ -188,13 +173,13 @@ def _estimate(cfgs, n_workers):
     merge_rows = lambda x, y: list(map(_merge, x, y))
 
     if workers == 1:
-        totals = reduce(merge_rows, map(run_block, starts))
+        totals = reduce(merge_rows, map(run_block, blocks))
     else:
         window = 16 * workers  # blocks in flight: a window is mapped once the last is merged
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            blocks = chain.from_iterable(pool.map(run_block, starts[i:i + window])
-                                         for i in range(0, len(starts), window))
-            totals = reduce(merge_rows, blocks)
+            records = chain.from_iterable(pool.map(run_block, blocks[i:i + window])
+                                          for i in range(0, len(blocks), window))
+            totals = reduce(merge_rows, records)
     return [McResult(float(mean), math.sqrt(m2 / (n - 1)) / math.sqrt(n) if n > 1 else 0.0,
                      float(lo), float(hi), n_rejected)
             for _, mean, m2, lo, hi, n_rejected in totals]

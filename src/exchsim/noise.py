@@ -7,10 +7,10 @@ barriers.
 
 The noise model is white-over-band and quasi-static per pulse: each gate
 draws one relative-amplitude scalar and one timing scalar.
-draw_errors_block derives the draws of a range of samples from (seed,
-sample index) alone, so parallel callers get the same draws for any
-partition: each BLOCK of sample indices has its own Philox4x64 stream, and
-gaussian draws come from numpy's ziggurat on it.
+draw_errors_block draws one block of samples from (seed, block index)
+alone, so parallel callers get the same draws for any worker count: each
+BLOCK of sample indices has its own Philox4x64 stream, and gaussian draws
+come from numpy's ziggurat on it.  RNG_SCHEME names this contract.
 """
 
 import math
@@ -29,6 +29,16 @@ MAX_RESAMPLES = 100
 # each block has its own Philox stream); each thread's reused draw buffer
 # holds the two variates per sample of one block.
 BLOCK = 8192
+# The draw contract of draw_errors_block; manifests record it.
+RNG_SCHEME = "philox4x64-block-stream-v4"
+# The largest |z| numpy's ziggurat (random_standard_normal) can return.  The
+# layers below the tail return |z| < R, the tail start R = 3.6541528853610088.
+# The tail returns R + x with x = -ln(1 - u) / R and u = (word >> 11) 2**-53
+# <= 1 - 2**-53, so x <= 53 ln 2 / R.  (Its acceptance test 2 y > x**2, with
+# y <= 53 ln 2 likewise, caps x at sqrt(106 ln 2) = 8.57 < 10.05, so this bound
+# also covers the rounding of x.)  Uniform draws reach only sqrt(3).
+_ZIGGURAT_R = 3.6541528853610088
+_MAX_RADIUS = _ZIGGURAT_R + 53.0 * math.log(2.0) / _ZIGGURAT_R
 
 _scratch = threading.local()  # this thread's variate buffer and generator, reused by every draw
 
@@ -71,15 +81,16 @@ def _is_physical(duration_s, amp, shift):
     return (duration_s + shift > 0.0) & (amp >= -1.0)
 
 
-def _variates(seed, attempt, block, size, distribution):
-    # The first `size` variates of block `block`'s stream under key (seed,
-    # attempt), in this thread's reused buffer: the Philox4x64 stream with
-    # initial counter (0, block, 0, 0), read by Generator.standard_normal
-    # (numpy's ziggurat) or Generator.random.  A block's stream advances only
-    # counter word 0, by far less than 2**64, so streams never overlap.  The
-    # thread's one Philox is set to the state a new Philox(counter=...,
-    # key=...) starts in (empty output buffer), which skips the OS-entropy
-    # SeedSequence numpy builds for every new Philox, even a keyed one.
+def _block_errors(seed, attempt, block, size, noise):
+    # Errors of the first `size` samples of block `block` under key (seed,
+    # attempt), as new arrays (never views of the buffer): the Philox4x64
+    # stream with initial counter (0, block, 0, 0), read into this thread's
+    # reused buffer by Generator.standard_normal (numpy's ziggurat) or
+    # Generator.random.  A block's stream advances only counter word 0, by far
+    # less than 2**64, so streams never overlap.  The thread's one Philox is
+    # set to the state a new Philox(counter=..., key=...) starts in (empty
+    # output buffer), which skips the OS-entropy SeedSequence numpy builds for
+    # every new Philox, even a keyed one.
     generator = getattr(_scratch, "generator", None)
     if generator is None:
         _scratch.variates = np.empty(2 * BLOCK)  # two variates per sample
@@ -89,64 +100,50 @@ def _variates(seed, attempt, block, size, distribution):
         "state": {"counter": (0, block, 0, 0), "key": (seed, attempt)},
         "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
     }
-    buf = _scratch.variates[:size]
-    if distribution == "gaussian":
-        return generator.standard_normal(out=buf)
-    return generator.random(out=buf)
+    z = _scratch.variates[:2 * size]
+    if noise.distribution == "gaussian":
+        generator.standard_normal(out=z)
+        scale = 1.0
+    else:  # uniform errors: sigma sqrt(3) (2u - 1)
+        generator.random(out=z)
+        z *= 2.0
+        z -= 1.0
+        scale = math.sqrt(3.0)
+    return z[0::2] * (noise.sigma_a * scale), z[1::2] * (noise.sigma_t_s * scale)
 
 
-def _block_errors(seed, attempt, start, stop, noise):
-    # Errors of samples start..stop-1 under key (seed, attempt), one block at
-    # a time: each part draws its block's prefix up to the part's end and
-    # slices it (see draw_errors_block).  The returned arrays are new, never
-    # views of the buffer.
-    uniform = noise.distribution == "uniform"
-    scale = math.sqrt(3.0) if uniform else 1.0  # uniform errors: sigma sqrt(3) (2u - 1)
-    amp, shift = np.empty(stop - start), np.empty(stop - start)
-    for block in range(start // BLOCK, (stop - 1) // BLOCK + 1):
-        lo, hi = max(start, block * BLOCK), min(stop, (block + 1) * BLOCK)
-        z = _variates(seed, attempt, block, 2 * (hi - block * BLOCK), noise.distribution)
-        if uniform:
-            z *= 2.0
-            z -= 1.0
-        j = 2 * (lo - block * BLOCK)
-        np.multiply(z[j::2], noise.sigma_a * scale, out=amp[lo - start:hi - start])
-        np.multiply(z[j + 1::2], noise.sigma_t_s * scale, out=shift[lo - start:hi - start])
-    return amp, shift
+def draw_errors_block(seed, block, size, duration_s, noise):
+    """Physical error draws (a, t, rejected) of the first `size` samples of block `block`.
 
-
-def draw_errors_block(seed, start, stop, duration_s, noise):
-    """Physical error draws (a, t, rejected) of samples start..stop-1, as arrays.
-
-    Counter-based (Salmon et al., SC'11): sample i is a function of (seed, i)
-    alone, so any partition of the sample range gives the same draws.
-    Block k = i // BLOCK has its own Philox4x64 stream, with key (seed, 0)
-    and initial counter (0, k, 0, 0), and sample i takes variates 2j and
-    2j+1 of it, j = i - k BLOCK.  Gaussian errors are sigma times
-    Generator.standard_normal (numpy's ziggurat, Marsaglia & Tsang 2000);
-    uniform errors are sigma sqrt(3) (2u - 1) of Generator.random.  A
-    ziggurat variate takes a variable number of words, so a sample depends on
-    the earlier samples of its block, and each block's prefix [k BLOCK, stop)
-    is drawn and sliced; whole blocks, as the estimator asks for, pay nothing
-    extra.  Unphysical draws are redrawn from the same position of block k's
-    stream under key (seed, attempt) for attempt = 1..MAX_RESAMPLES, then
-    RejectedSampleError names the sample.
+    Counter-based (Salmon et al., SC'11): block k, samples k BLOCK to
+    (k+1) BLOCK - 1, has its own Philox4x64 stream, with key (seed, 0) and
+    initial counter (0, k, 0, 0), so its draws are a function of (seed, k)
+    alone.  Sample k BLOCK + j takes variates 2j and 2j+1 of it.  Gaussian
+    errors are sigma times Generator.standard_normal (numpy's ziggurat,
+    Marsaglia & Tsang 2000); uniform errors are sigma sqrt(3) (2u - 1) of
+    Generator.random.  A ziggurat variate takes a variable number of words,
+    so a sample depends on the earlier samples of its block, and a call draws
+    a prefix of one block: 1 <= size <= BLOCK.  Unphysical draws are redrawn
+    from the same position of block k's stream under key (seed, attempt) for
+    attempt = 1..MAX_RESAMPLES, then RejectedSampleError names the sample.
     `rejected` counts the discarded draws of each sample.
     """
-    amp, shift = _block_errors(seed, 0, start, stop, noise)
-    rejected = np.zeros(stop - start, dtype=np.int64)
+    if not 1 <= size <= BLOCK:
+        raise ValueError(f"size must lie in [1, BLOCK = {BLOCK}], got {size!r}")
+    amp, shift = _block_errors(seed, 0, block, size, noise)
+    rejected = np.zeros(size, dtype=np.int64)
     bad = ~_is_physical(duration_s, amp, shift)
     for attempt in range(1, MAX_RESAMPLES + 1):
         if not bad.any():
             return amp, shift, rejected
         rejected += bad
-        redraw_amp, redraw_shift = _block_errors(seed, attempt, start, stop, noise)
+        redraw_amp, redraw_shift = _block_errors(seed, attempt, block, size, noise)
         amp[bad] = redraw_amp[bad]
         shift[bad] = redraw_shift[bad]
         bad &= ~_is_physical(duration_s, amp, shift)
     if bad.any():
         raise RejectedSampleError(
-            f"no physical pulse for sample {start + int(np.flatnonzero(bad)[0])} after "
+            f"no physical pulse for sample {block * BLOCK + int(np.flatnonzero(bad)[0])} after "
             f"{MAX_RESAMPLES} resamples (nominal T {duration_s:.3e} s, "
             f"sigma_t {noise.sigma_t_s:.3e} s, sigma_a {noise.sigma_a:.3e})"
         )

@@ -110,6 +110,18 @@ class TestFeasibilityCommand:
         assert rc == 2
         assert "unknown platform" in capsys.readouterr().err
 
+    def test_spec_file_with_several_technologies_asks_for_tech(self, tmp_path, capsys):
+        spec = tmp_path / "two.spec"
+        spec.write_text(ELECTRICAL_INI_EXTRA + "\n" + ELECTRICAL_INI_EXTRA.replace(
+            "[technology]", "[technology.b]").replace("house-generator", "bench-generator"))
+        rc = cli.main(["feasibility", "--spec-file", str(spec), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == ("error: the spec file has 2 technologies "
+                                           "(house-generator, bench-generator): choose one "
+                                           "with --tech\n")
+        assert cli.main(["feasibility", "--spec-file", str(spec), "--tech", "bench-generator",
+                         "--out", str(tmp_path / "out")]) == 0
+
     def test_missing_spec_file_is_input_error(self, tmp_path, capsys):
         rc = cli.main(["feasibility", "--spec-file", str(tmp_path / "missing.spec"),
                        "--out", str(tmp_path / "out")])
@@ -205,7 +217,7 @@ class TestMcCommand:
         assert [p.rsplit("/", 1)[-1] for p in manifest["outputs"]] == ["mc.csv"]
         assert manifest["seed"] == 0
         assert manifest["parameters"]["n_samples"] == 50
-        assert manifest["rng_scheme"] == montecarlo.RNG_SCHEME
+        assert manifest["rng_scheme"] == noise.RNG_SCHEME
         assert manifest["python_version"] == platform.python_version()
         assert manifest["numpy_version"] == np.__version__
 
@@ -234,6 +246,17 @@ class TestMcCommand:
         assert "duration" in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("flags", [["--duration", "5e-324"],
+                                       ["--sigma-t", "1e-300", "--duration", "1e-310"]])
+    def test_overflowing_pulse_names_duration_and_alpha(self, tmp_path, capsys, flags):
+        rc = cli.main(["mc", *flags, "--n", "10", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: duration = {float(flags[-1])!r} s is too short for "
+                              "alpha = 0.5: the exchange strength 2 pi alpha / duration "
+                              "overflows")
+        assert "Traceback" not in err
+
 
 class TestGoldenStream:
     """Seeded outputs pinned bit for bit under the RNG scheme.
@@ -255,8 +278,7 @@ class TestGoldenStream:
     def test_first_draws_of_a_block(self, block):
         # sigma 2**-10 scales exactly, and T = 1 s keeps every draw physical
         spec = ControlNoiseSpec(sigma_a=2.0**-10, sigma_t_s=2.0**-10)
-        start = block * montecarlo.BLOCK
-        amp, shift, rejected = noise.draw_errors_block(self.SEED, start, start + 2, 1.0, spec)
+        amp, shift, rejected = noise.draw_errors_block(self.SEED, block, 2, 1.0, spec)
         assert not rejected.any()
         draws = [amp[0], shift[0], amp[1], shift[1]]
         assert [float(v * 2.0**10).hex() for v in draws] == self.FIRST_DRAWS[block]
@@ -269,6 +291,28 @@ class TestGoldenStream:
             b"axis_value,mean_infidelity,stderr,analytic_prediction,n_samples,seed\n"
             b",4.80586453936732772e-07,4.25572692135811194e-09,4.81143214553106153e-07,"
             b"24593,18446744073709551615\n")
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_sweep_csv_bytes(self, tmp_path, capsys, workers):
+        # The sweep-dephased benchmark argv: uniform noise, one pass over four
+        # blocks for five t2 rows, the last block ragged.
+        n = 3 * montecarlo.BLOCK + 17
+        assert cli.main(["sweep", "--axis", "t2", "--values", "5e-5,1e-4,5e-4,1e-3,5e-3",
+                         "--sigma-a", "1e-3", "--sigma-t", "1e-11", "--distribution", "uniform",
+                         "--n", str(n), "--seed", str(self.SEED), "--workers", workers,
+                         "--out", str(tmp_path)]) == 0
+        assert read_bytes(tmp_path / "sweep.csv") == (
+            b"axis_value,mean_infidelity,stderr,analytic_prediction,n_samples,seed\n"
+            b"5.00000000000000024e-05,1.02309519207091599e-04,1.60890173813615114e-08,"
+            b"1.02305688948153237e-04,24593,18446744073709551615\n"
+            b"1.00000000000000005e-04,5.23149019526492065e-05,1.60479564437713492e-08,"
+            b"5.23113135835874765e-05,24593,18446744073709551615\n"
+            b"5.00000000000000010e-04,1.23165083450946719e-05,1.60334820466267452e-08,"
+            b"1.23131135319219826e-05,24593,18446744073709551615\n"
+            b"1.00000000000000002e-03,7.31654039749444454e-06,1.60328247163622619e-08,"
+            b"7.31316978155740199e-06,24593,18446744073709551615\n"
+            b"5.00000000000000010e-03,3.31653903921431520e-06,1.60324833203418216e-08,"
+            b"3.31318778150573493e-06,24593,18446744073709551615\n")
 
 
 class TestSweepCommand:
@@ -300,7 +344,7 @@ class TestSweepCommand:
         assert cli.main(["sweep", "--axis", "t2", "--values", "1e-3", "--n", "20",
                          "--out", str(out)]) == 0
         manifest = json.loads(read_bytes(out / "sweep_manifest.json"))
-        assert manifest["rng_scheme"] == montecarlo.RNG_SCHEME
+        assert manifest["rng_scheme"] == noise.RNG_SCHEME
         assert manifest["python_version"] == platform.python_version()
         assert manifest["numpy_version"] == np.__version__
 

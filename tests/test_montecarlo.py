@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from exchsim import core, dephasing, gates, montecarlo
+from exchsim import core, dephasing, gates, montecarlo, noise
 from exchsim.montecarlo import BLOCK, SWEEP_AXES, McConfig, estimate_infidelity, sweep
 from exchsim.noise import ControlNoiseSpec, draw_errors_block, realized_pulse
 
@@ -30,10 +30,11 @@ def make_config(n=1000, seed=0, alpha=0.5, duration=5e-9, sigma_a=0.0, sigma_t=0
     )
 
 
-def score_block(cfg, start, stop):
-    """Infidelities and redraw counts of samples [start, stop) of cfg's run."""
+def score_block(cfg, block):
+    """Infidelities and redraw counts of block `block` of cfg's run."""
     eff_noise = replace(cfg.noise, sigma_a=cfg.sensitivity * cfg.noise.sigma_a)
-    a, t, rejected = draw_errors_block(cfg.seed, start, stop, cfg.nominal.duration_s, eff_noise)
+    size = min(BLOCK, cfg.n_samples - block * BLOCK)
+    a, t, rejected = draw_errors_block(cfg.seed, block, size, cfg.nominal.duration_s, eff_noise)
     return montecarlo._score(cfg, t, montecarlo._area_term(cfg, a, t)), rejected
 
 
@@ -83,14 +84,6 @@ class TestConfigValidation:
     def test_rejects_noise_whose_extreme_draw_overflows(self, kwargs, name):
         with pytest.raises(ValueError, match=re.escape(name) + ".* 13.71-sigma draw overflow"):
             make_config(**kwargs)
-
-    def test_max_radius_is_the_ziggurat_bound(self):
-        # numpy's random_standard_normal returns |z| < R below its tail start
-        # R and R + x in the tail, with x = -ln(1 - u) / R <= 53 ln 2 / R for a
-        # 53-bit uniform u < 1.
-        r = 3.6541528853610088
-        assert montecarlo._MAX_RADIUS == r + 53.0 * math.log(2.0) / r
-        assert f"{montecarlo._MAX_RADIUS:.2f}" == "13.71"
 
     # 7e152 is the largest one-digit sigma inside the 13.71-sigma bound.
     @pytest.mark.parametrize("kwargs", [{"sigma_a": 7e152}, {"sigma_t": 5e-9 * 7e152}])
@@ -216,7 +209,7 @@ class TestDeterminism:
     def test_readme_states_the_rng_scheme(self):
         # The determinism contract in the README must name the scheme the code draws with.
         readme = Path(__file__).resolve().parents[1] / "README.md"
-        assert montecarlo.RNG_SCHEME in readme.read_text(encoding="utf-8")
+        assert noise.RNG_SCHEME in readme.read_text(encoding="utf-8")
 
     def test_different_seeds_differ(self):
         a = estimate_infidelity(make_config(n=500, seed=9, sigma_a=1e-3))
@@ -235,7 +228,7 @@ class TestBlockReduction:
     )
     def test_merged_blocks_equal_whole_array_reduction(self, kwargs, n, workers):
         cfg = make_config(n=n, seed=21, **kwargs)
-        blocks = [score_block(cfg, start, min(start + BLOCK, n)) for start in range(0, n, BLOCK)]
+        blocks = [score_block(cfg, block) for block in range(-(-n // BLOCK))]
         values = np.concatenate([v for v, _ in blocks])
         result = estimate_infidelity(cfg, n_workers=workers)
         assert result.min_infidelity == np.min(values)
@@ -270,10 +263,10 @@ class TestSamplePathMatchesPublicOps:
         result = estimate_infidelity(cfg)
         eff_noise = replace(cfg.noise, sigma_a=cfg.sensitivity * cfg.noise.sigma_a)
         target = gates.swap_power_target(cfg.target_alpha)
+        a, t, _ = draw_errors_block(cfg.seed, 0, cfg.n_samples, cfg.nominal.duration_s, eff_noise)
         values = []
         for i in range(cfg.n_samples):
-            a, t, _ = draw_errors_block(cfg.seed, i, i + 1, cfg.nominal.duration_s, eff_noise)
-            pulse = realized_pulse(cfg.nominal, a[0], t[0])
+            pulse = realized_pulse(cfg.nominal, a[i], t[i])
             u = gates.exchange_unitary(gates.phase_from_pulse(pulse))
             channel = dephasing.compose_channel_after_unitary(
                 dephasing.dephasing_channel(pulse.duration_s, cfg.dephasing), u

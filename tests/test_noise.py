@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from exchsim import gates, noise
-from exchsim.montecarlo import BLOCK
+from exchsim.noise import BLOCK
 
 
 def _rng(seed=0):
@@ -79,9 +79,9 @@ class TestSamplePulse:
 
 
 def block_draws(seed, n, duration_s, spec):
-    """draw_errors_block over samples 0..n-1, drawn BLOCK samples at a time."""
-    parts = [noise.draw_errors_block(seed, i, min(i + BLOCK, n), duration_s, spec)
-             for i in range(0, n, BLOCK)]
+    """draw_errors_block over samples 0..n-1: whole blocks, then the ragged last one."""
+    parts = [noise.draw_errors_block(seed, k, min(BLOCK, n - k * BLOCK), duration_s, spec)
+             for k in range(-(-n // BLOCK))]
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
@@ -131,59 +131,66 @@ class TestDrawErrorsBlock:
     }
 
     @pytest.mark.parametrize("name", SPECS)
-    @pytest.mark.parametrize("start, stop", [
-        (0, 300), (1, 300), (BLOCK - 1, BLOCK + 300), (BLOCK + 5, BLOCK + 301),
-        (3 * BLOCK, 3 * BLOCK + 17),  # the ragged last block of a 3 BLOCK + 17 run
+    @pytest.mark.parametrize("block, size", [
+        (0, 300), (1, 301),
+        (3, 17),  # the ragged last block of a 3 BLOCK + 17 run
     ])
-    def test_slices_equal_single_index_calls_and_scalar_reference(self, name, start, stop):
+    def test_block_prefixes_equal_shorter_prefixes_and_scalar_reference(self, name, block,
+                                                                         size):
         spec = self.SPECS[name]
-        amp, shift, rejected = noise.draw_errors_block(self.SEED, start, stop, self.T, spec)
-        assert amp.shape == shift.shape == rejected.shape == (stop - start,)
-        for k, i in enumerate(range(start, stop)):
-            one = noise.draw_errors_block(self.SEED, i, i + 1, self.T, spec)
-            assert (amp[k], shift[k], rejected[k]) == (one[0][0], one[1][0], one[2][0])
-            ref_amp, ref_shift, ref_rejected = scalar_reference_draw(self.SEED, i, self.T, spec)
-            assert amp[k] == pytest.approx(ref_amp, rel=1e-12, abs=0.0)
-            assert shift[k] == pytest.approx(ref_shift, rel=1e-12, abs=0.0)
-            assert rejected[k] == ref_rejected
+        amp, shift, rejected = noise.draw_errors_block(self.SEED, block, size, self.T, spec)
+        assert amp.shape == shift.shape == rejected.shape == (size,)
+        for j in range(size):
+            prefix = noise.draw_errors_block(self.SEED, block, j + 1, self.T, spec)
+            assert (amp[j], shift[j], rejected[j]) == tuple(array[-1] for array in prefix)
+            ref_amp, ref_shift, ref_rejected = scalar_reference_draw(
+                self.SEED, block * BLOCK + j, self.T, spec)
+            assert amp[j] == pytest.approx(ref_amp, rel=1e-12, abs=0.0)
+            assert shift[j] == pytest.approx(ref_shift, rel=1e-12, abs=0.0)
+            assert rejected[j] == ref_rejected
         if name.endswith("rejections"):
             assert rejected.sum() > 0
         else:
             assert rejected.sum() == 0
+        # the whole block starts with this prefix and ends in its own last sample
+        whole = noise.draw_errors_block(self.SEED, block, BLOCK, self.T, spec)
+        for array, prefix in zip(whole, (amp, shift, rejected)):
+            assert np.array_equal(array[:size], prefix)
+        ref_amp, ref_shift, ref_rejected = scalar_reference_draw(
+            self.SEED, block * BLOCK + BLOCK - 1, self.T, spec)
+        assert whole[0][-1] == pytest.approx(ref_amp, rel=1e-12, abs=0.0)
+        assert whole[1][-1] == pytest.approx(ref_shift, rel=1e-12, abs=0.0)
+        assert whole[2][-1] == ref_rejected
+
+    @pytest.mark.parametrize("size", [0, BLOCK + 1])
+    def test_a_size_outside_one_block_is_rejected(self, size):
+        with pytest.raises(ValueError, match=f"size must lie in \\[1, BLOCK = {BLOCK}\\], "
+                                             f"got {size}"):
+            noise.draw_errors_block(self.SEED, 0, size, self.T, self.SPECS["gaussian"])
 
     @pytest.mark.parametrize("name", ["gaussian", "uniform-rejections"])
     def test_a_second_draw_leaves_the_first_draws_arrays_unchanged(self, name):
         spec = self.SPECS[name]
         first = noise.draw_errors_block(self.SEED, 0, BLOCK, self.T, spec)
-        assert not any(np.shares_memory(array, noise._scratch.variates) for array in first)
+        buffer = noise._scratch.variates
+        assert not any(np.shares_memory(array, buffer) for array in first)
         kept = tuple(array.copy() for array in first)
         noise.draw_errors_block(3, 0, BLOCK, self.T, spec)
+        assert noise._scratch.variates is buffer  # one reused buffer, never a grown one
         for array, copy in zip(first, kept):
             assert np.array_equal(array, copy)
-
-    @pytest.mark.parametrize("start", [0, 5])
-    def test_a_range_beyond_one_block_equals_its_block_slices(self, start):
-        spec, stop = self.SPECS["gaussian-rejections"], start + 3 * BLOCK + 17
-        noise.draw_errors_block(self.SEED, 0, 1, self.T, spec)  # this thread's buffer exists
-        buffer = noise._scratch.variates
-        whole = noise.draw_errors_block(self.SEED, start, stop, self.T, spec)
-        assert noise._scratch.variates is buffer  # one BLOCK at a time, never a grown buffer
-        parts = [noise.draw_errors_block(self.SEED, i, min(i + BLOCK, stop), self.T, spec)
-                 for i in range(start, stop, BLOCK)]
-        for array, sliced in zip(whole, zip(*parts)):
-            assert np.array_equal(array, np.concatenate(sliced))
 
     def test_draws_reuse_this_threads_generator(self, monkeypatch):
         # A new Philox builds an OS-entropy SeedSequence even when given a key,
         # so each thread keeps one and re-keys it per block and attempt.
-        spec, stop = self.SPECS["uniform-rejections"], 2 * BLOCK + 17
-        expected = noise.draw_errors_block(self.SEED, 0, stop, self.T, spec)
+        spec, n = self.SPECS["uniform-rejections"], 2 * BLOCK + 17
+        expected = block_draws(self.SEED, n, self.T, spec)
 
         def no_new_philox(*args, **kwargs):
             raise AssertionError("a draw built a new Philox")
 
         monkeypatch.setattr(np.random, "Philox", no_new_philox)
-        drawn = noise.draw_errors_block(self.SEED, 0, stop, self.T, spec)
+        drawn = block_draws(self.SEED, n, self.T, spec)
         assert drawn[2].sum() > 0  # redraw attempts re-key the same generator too
         for array, want in zip(drawn, expected):
             assert np.array_equal(array, want)
@@ -203,11 +210,12 @@ class TestDrawErrorsBlock:
                     assert np.max(np.abs(draws)) <= sigma * math.sqrt(3.0) * (1 + 1e-12)
 
     def test_gaussian_draws_pass_a_kolmogorov_smirnov_test(self):
-        # 4 BLOCK samples from the middle of block 0 to the middle of block 4:
-        # four block boundaries and two block prefixes.  The KS distance of n
-        # normal draws exceeds 1.95 / sqrt(n) with probability about 1e-3.
+        # 4 BLOCK samples from the middle of block 0 to the middle of block 4,
+        # across four block boundaries.  The KS distance of n normal draws
+        # exceeds 1.95 / sqrt(n) with probability about 1e-3.
         spec, start = self.SPECS["gaussian"], BLOCK // 2
-        amp, shift, rejected = noise.draw_errors_block(11, start, start + 4 * BLOCK, self.T, spec)
+        draws = block_draws(11, 5 * BLOCK, self.T, spec)
+        amp, shift, rejected = (array[start:start + 4 * BLOCK] for array in draws)
         assert rejected.sum() == 0
         bound = 1.95 / math.sqrt(4 * BLOCK)
         assert normal_ks_statistic(amp / spec.sigma_a) < bound
@@ -233,8 +241,28 @@ class TestDrawErrorsBlock:
     def test_resample_exhaustion_names_the_sample(self):
         # A negative nominal duration makes every draw unphysical.
         spec = noise.ControlNoiseSpec(sigma_a=0.0, sigma_t_s=1e-12)
-        with pytest.raises(noise.RejectedSampleError, match="sample 5 after 100 resamples"):
-            noise.draw_errors_block(0, 5, 9, -1e-9, spec)
+        with pytest.raises(noise.RejectedSampleError,
+                           match=f"sample {2 * BLOCK} after 100 resamples"):
+            noise.draw_errors_block(0, 2, 9, -1e-9, spec)
+
+    def test_resample_exhaustion_names_the_first_unphysical_sample_of_the_block(
+            self, monkeypatch):
+        spec = self.SPECS["gaussian-rejections"]
+        _, _, rejected = noise.draw_errors_block(self.SEED, 2, 64, self.T, spec)
+        j = int(np.flatnonzero(rejected)[0])
+        assert j > 0  # so the sample index needs both the block and the offset
+        monkeypatch.setattr(noise, "MAX_RESAMPLES", 0)
+        with pytest.raises(noise.RejectedSampleError,
+                           match=f"sample {2 * BLOCK + j} after 0 resamples"):
+            noise.draw_errors_block(self.SEED, 2, 64, self.T, spec)
+
+    def test_max_radius_is_the_ziggurat_bound(self):
+        # numpy's random_standard_normal returns |z| < R below its tail start
+        # R and R + x in the tail, with x = -ln(1 - u) / R <= 53 ln 2 / R for a
+        # 53-bit uniform u < 1.
+        r = 3.6541528853610088
+        assert noise._MAX_RADIUS == r + 53.0 * math.log(2.0) / r
+        assert f"{noise._MAX_RADIUS:.2f}" == "13.71"
 
 
 class TestSnrFigures:

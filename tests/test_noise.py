@@ -162,7 +162,7 @@ class TestDrawErrorsBlock:
         assert whole[1][-1] == pytest.approx(ref_shift, rel=1e-12, abs=0.0)
         assert whole[2][-1] == ref_rejected
 
-    @pytest.mark.parametrize("size", [0, BLOCK + 1])
+    @pytest.mark.parametrize("size", [-1, 0, BLOCK + 1])
     def test_a_size_outside_one_block_is_rejected(self, size):
         with pytest.raises(ValueError, match=f"size must lie in \\[1, BLOCK = {BLOCK}\\], "
                                              f"got {size}"):
@@ -179,6 +179,19 @@ class TestDrawErrorsBlock:
         assert noise._scratch.variates is buffer  # one reused buffer, never a grown one
         for array, copy in zip(first, kept):
             assert np.array_equal(array, copy)
+
+    @pytest.mark.parametrize("name", ["gaussian-rejections", "uniform-rejections"])
+    def test_a_block_does_not_depend_on_the_blocks_drawn_before_it(self, name):
+        # The thread's generator and buffer are reused, so each block is drawn
+        # again after the others in reverse order and must come out the same.
+        spec, sizes = self.SPECS[name], (BLOCK, BLOCK, BLOCK, 17)
+        forward = [noise.draw_errors_block(self.SEED, k, size, self.T, spec)
+                   for k, size in enumerate(sizes)]
+        for k in reversed(range(len(sizes))):
+            again = noise.draw_errors_block(self.SEED, k, sizes[k], self.T, spec)
+            assert again[2].sum() > 0  # redraws re-key the generator between blocks too
+            for array, want in zip(again, forward[k]):
+                assert np.array_equal(array, want)
 
     def test_draws_reuse_this_threads_generator(self, monkeypatch):
         # A new Philox builds an OS-entropy SeedSequence even when given a key,

@@ -74,6 +74,18 @@ class Threshold:
         _check_epsilon(self.epsilon)
 
 
+# The Monte Carlo sweep axes; the epsilon axis is a Threshold reference line.
+SWEEP_AXES = ("sigma_a", "sigma_t", "t2", "target_alpha", "epsilon")
+_AXIS_ALIASES = {"epsilon-reference-line": "epsilon", "epsilon_reference_line": "epsilon"}
+
+
+def normalize_axis(axis):
+    name = _AXIS_ALIASES.get(axis.strip().lower(), axis.strip().lower())
+    if name not in SWEEP_AXES:
+        raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
+    return name
+
+
 @dataclass(frozen=True)
 class FeasibilityReport:
     """Outcome of the budget analysis for one platform/technology/threshold triple.

@@ -7,7 +7,8 @@ holds its data: CSV rows from McResults, feasibility.json from the resolved
 inputs and the FeasibilityReport, and a manifest's parameters from the
 McConfig (plus workers, and a sweep's axis and values) or those same inputs.
 With a fixed seed the primary output files are byte-identical across runs
-and worker counts; manifests are not.
+and worker counts; manifests are not.  Only gate, mc and sweep load numpy,
+when they run: the numpy-backed modules are imported inside their commands.
 """
 
 import argparse
@@ -22,18 +23,8 @@ import time
 import traceback
 from dataclasses import asdict
 
-import numpy as np
-
-from . import __version__, budget, montecarlo
-from .dephasing import DephasingSpec
-from .gates import (
-    gate_error_vs_phase,
-    pulse_for_target,
-    relative_error_to_phase_error,
-    relative_error_to_phase_error_first_order,
-    swap_power_target,
-)
-from .montecarlo import McConfig, SWEEP_AXES
+from . import __version__, budget
+from .budget import SWEEP_AXES
 from .noise import RNG_SCHEME, ControlNoiseSpec, DISTRIBUTIONS, RejectedSampleError
 
 CATALOG_ENV_VAR = "EXCHSIM_CATALOG"
@@ -228,6 +219,9 @@ def cmd_feasibility(args):
 
 
 def cmd_gate(args):
+    from .gates import (gate_error_vs_phase, relative_error_to_phase_error,
+                        relative_error_to_phase_error_first_order, swap_power_target)
+
     if args.phase_error is not None and args.dj is not None:
         raise ValueError("give either --phase-error or --dj/--dt, not both")
     target = swap_power_target(args.alpha)
@@ -265,6 +259,10 @@ def cmd_gate(args):
 
 
 def _mc_config(args):
+    from .dephasing import DephasingSpec
+    from .gates import pulse_for_target
+    from .montecarlo import McConfig
+
     noise_spec = ControlNoiseSpec(
         sigma_a=args.sigma_a or 0.0,
         sigma_t_s=args.sigma_t or 0.0,
@@ -288,6 +286,8 @@ CSV_HEADER = ["axis_value", "mean_infidelity", "stderr", "analytic_prediction",
 
 def _write_mc_outputs(args, cfg, rows, started, **parameters):
     """<command>.csv from (axis_value, McResult, analytic) rows, and its manifest."""
+    import numpy as np
+
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, f"{args.command}.csv")
     text = io.StringIO()
@@ -305,6 +305,8 @@ def _write_mc_outputs(args, cfg, rows, started, **parameters):
 
 
 def cmd_mc(args):
+    from . import montecarlo
+
     started = time.monotonic()
     cfg = _mc_config(args)
     result = montecarlo.estimate_infidelity(cfg, n_workers=args.workers)
@@ -319,6 +321,8 @@ def cmd_mc(args):
 
 
 def cmd_sweep(args):
+    from . import montecarlo
+
     started = time.monotonic()
     cfg = _mc_config(args)
     try:

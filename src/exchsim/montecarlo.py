@@ -33,15 +33,12 @@ from itertools import chain
 
 import numpy as np
 
-from .budget import Threshold
+from .budget import SWEEP_AXES, Threshold, normalize_axis  # montecarlo.SWEEP_AXES stays public
 from .dephasing import DephasingSpec, flip_probability
 from .gates import PulseSpec, phase_from_pulse, pulse_for_target
 from .noise import _MAX_RADIUS, BLOCK, ControlNoiseSpec, draw_errors_block
 
 _NO_DEPHASING = DephasingSpec(math.inf)  # T2 = inf: flip probabilities exactly 0
-
-SWEEP_AXES = ("sigma_a", "sigma_t", "t2", "target_alpha", "epsilon")
-_AXIS_ALIASES = {"epsilon-reference-line": "epsilon", "epsilon_reference_line": "epsilon"}
 
 
 @dataclass(frozen=True)
@@ -217,13 +214,6 @@ class SweepPoint:
     value: float
     result: McResult
     analytic_prediction: float
-
-
-def normalize_axis(axis):
-    name = _AXIS_ALIASES.get(axis.strip().lower(), axis.strip().lower())
-    if name not in SWEEP_AXES:
-        raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
-    return name
 
 
 def _config_for(cfg, axis, value):

@@ -11,15 +11,14 @@ draw_errors_block draws one block of samples from (seed, block index)
 alone, so parallel callers get the same draws for any worker count: each
 BLOCK of sample indices has its own Philox4x64 stream, and gaussian draws
 come from numpy's ziggurat on it.  RNG_SCHEME names this contract.
+
+numpy and gates are imported by the functions that draw or build pulses, so
+the specs, constants and RejectedSampleError load without numpy.
 """
 
 import math
 import threading
 from dataclasses import dataclass
-
-import numpy as np
-
-from .gates import constant_pulse, profile_pulse
 
 DISTRIBUTIONS = ("gaussian", "uniform")
 
@@ -93,6 +92,8 @@ def _block_errors(seed, attempt, block, size, noise):
     # every new Philox, even a keyed one.
     generator = getattr(_scratch, "generator", None)
     if generator is None:
+        import numpy as np
+
         _scratch.variates = np.empty(2 * BLOCK)  # two variates per sample
         generator = _scratch.generator = np.random.Generator(np.random.Philox())
     generator.bit_generator.state = {
@@ -128,6 +129,8 @@ def draw_errors_block(seed, block, size, duration_s, noise):
     attempt = 1..MAX_RESAMPLES, then RejectedSampleError names the sample.
     `rejected` counts the discarded draws of each sample.
     """
+    import numpy as np
+
     if not 1 <= size <= BLOCK:
         raise ValueError(f"size must lie in [1, BLOCK = {BLOCK}], got {size!r}")
     amp, shift = _block_errors(seed, 0, block, size, noise)
@@ -157,6 +160,8 @@ def sample_pulse(rng, nominal, noise):
     under that key, so the same rng state gives the same (a, t) and the
     same resample-then-fail behaviour as the Monte Carlo estimator.
     """
+    import numpy as np
+
     key = int(rng.integers(2**64, dtype=np.uint64))
     amp, shift, _ = draw_errors_block(key, 0, 1, nominal.duration_s, noise)
     return realized_pulse(nominal, amp[0], shift[0])
@@ -164,6 +169,8 @@ def sample_pulse(rng, nominal, noise):
 
 def realized_pulse(nominal, amp, shift):
     """The pulse realized under errors (a, t): strengths times 1+a, duration T+t."""
+    from .gates import constant_pulse, profile_pulse
+
     amp_factor = 1.0 + amp
     duration = nominal.duration_s + shift
     if nominal.j_rad_per_s is not None:
@@ -268,6 +275,8 @@ def rectification_exchange(rect_map, intensity_profile):
     at t = 0 with strictly increasing times; output strength is monotone
     increasing in intensity, pointwise.
     """
+    from .gates import profile_pulse
+
     samples = tuple(intensity_profile)
     if len(samples) < 2:
         raise ValueError("intensity profile needs at least two (time, intensity) samples")

@@ -1,0 +1,190 @@
+"""Start-up: the package's lazy exports, and which CLI commands load numpy.
+
+`import exchsim`, `import exchsim.cli`, --version, --help, catalog and
+feasibility must run without numpy; gate, mc and sweep load it when they run.
+Only a fresh interpreter shows what an import loads, so one subprocess runs a
+list of commands and reports, after each, whether numpy was loaded.
+"""
+
+import contextlib
+import importlib
+import io
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import exchsim
+from exchsim import budget, cli, montecarlo, noise
+
+# The names exchsim re-exports, by defining submodule.
+EXPORTS = {
+    "core": {"SWAP", "density_from_pure", "expm_hermitian", "kron", "process_fidelity",
+             "spin_dot_operator"},
+    "gates": {"HBAR_JS", "PulseSpec", "constant_pulse", "exchange_rate_from_energy",
+              "exchange_unitary", "gate_error_vs_phase", "phase_from_pulse", "profile_pulse",
+              "pulse_for_target", "relative_error_to_phase_error",
+              "relative_error_to_phase_error_first_order", "swap_power_target"},
+    "noise": {"ControlNoiseSpec", "RectificationMap", "RejectedSampleError",
+              "db_to_amplitude_snr", "db_to_power_snr", "integrated_snr",
+              "rectification_exchange", "sample_pulse", "sensitivity_map",
+              "shot_noise_relative_amplitude"},
+    "dephasing": {"DephasingSpec", "QuantumChannel4", "apply_channel",
+                  "average_fidelity_from_entanglement", "compose_channel_after_unitary",
+                  "dephasing_channel", "entanglement_fidelity"},
+    "budget": {"FeasibilityReport", "PlatformSpec", "TechnologySpec", "Threshold",
+               "builtin_catalog", "builtin_platforms", "feasibility", "load_specs",
+               "max_gate_time", "min_gate_time_from_jitter", "required_bandwidth"},
+    "montecarlo": {"McConfig", "McResult", "analytic_infidelity", "estimate_infidelity",
+                   "sweep"},
+}
+HOME = {name: module for module, names in EXPORTS.items() for name in names}
+
+SPEC_FILE = (
+    "[platform]\nt2_seconds = 0.5e-3\nsensitivity = 1.0\n\n"
+    "[technology]\nname = homebrew\nsigma_a = 1e-6\nsigma_t_seconds = 1e-14\n"
+    "bw_low_hz = 0\nbw_high_hz = 1e12\n\n[threshold]\nepsilon = 1e-5\n"
+)
+
+# Run in a fresh interpreter with a JSON list of argvs: after importing the
+# package, the CLI, and after each cli.main call, record whether numpy is
+# loaded; a call's record also holds its exit code, stdout and stderr.
+FRESH_RUNNER = """
+import contextlib, io, json, sys
+imports, report = [], []
+import exchsim
+imports.append("numpy" in sys.modules)
+imports.append(exchsim.noise.__name__)  # a submodule not imported yet, as an attribute
+import exchsim.cli
+imports.append("numpy" in sys.modules)
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = exchsim.cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    report.append([code, out.getvalue(), err.getvalue(), "numpy" in sys.modules])
+print(json.dumps([imports, report]))
+"""
+
+MC_ARGS = ["--alpha", "0.5", "--sigma-a", "1e-3", "--sigma-t", "1e-12", "--n", "9000",
+           "--seed", "18446744073709551609"]
+
+
+def command_steps(tmp_path, out):
+    """(argv, exit code, loads numpy) of each command, in run order, writing under tmp_path/out."""
+    spec = tmp_path / "spec.ini"
+    spec.write_text(SPEC_FILE)
+    out_dir = str(tmp_path / out)
+    return [
+        (["--version"], 0, False),
+        (["--help"], 0, False),
+        *[([command, "--help"], 0, False)
+          for command in ("feasibility", "gate", "mc", "sweep", "catalog")],
+        (["catalog"], 0, False),
+        (["catalog", "--format", "json"], 0, False),
+        (["feasibility", "--platform", "si-spin", "--tech", "modelocked-laser-10GHz",
+          "--out", out_dir + "/builtin"], 0, False),
+        (["feasibility", "--spec-file", str(spec), "--out", out_dir + "/spec-file"], 0, False),
+        (["feasibility", "--epsilon", "0", "--tech", "modelocked-laser-10GHz",
+          "--out", out_dir + "/epsilon-0"], 2, False),
+        (["gate", "--alpha", "0.5", "--dj", "1e-4"], 0, True),
+        (["mc", *MC_ARGS, "--out", out_dir + "/mc"], 0, True),
+        (["sweep", *MC_ARGS, "--axis", "t2", "--values", "5e-5,5e-4", "--distribution",
+          "uniform", "--workers", "2", "--out", out_dir + "/sweep"], 0, True),
+    ]
+
+
+@pytest.fixture(scope="module")
+def fresh(tmp_path_factory):
+    """The steps of command_steps, and the fresh interpreter's imports and report."""
+    tmp_path = tmp_path_factory.mktemp("startup")
+    steps = command_steps(tmp_path, "fresh")
+    src = os.path.dirname(os.path.dirname(exchsim.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, COLUMNS="80", PYTHONPATH=src + (os.pathsep + path if path else ""))
+    done = subprocess.run([sys.executable, "-c", FRESH_RUNNER,
+                           json.dumps([argv for argv, _, _ in steps])],
+                          env=env, capture_output=True, text=True, timeout=120, check=True)
+    imports, report = json.loads(done.stdout)
+    assert len(report) == len(steps)
+    return tmp_path, steps, imports, report
+
+
+class TestFreshProcess:
+    def test_package_and_cli_import_without_numpy(self, fresh):
+        _, _, imports, _ = fresh
+        # numpy after `import exchsim`, then a submodule attribute, then `import exchsim.cli`
+        assert imports == [False, "exchsim.noise", False]
+
+    def test_only_gate_mc_and_sweep_load_numpy(self, fresh):
+        _, steps, _, report = fresh
+        for (argv, exit_code, loads_numpy), (code, _, err, loaded) in zip(steps, report):
+            assert (code, loaded) == (exit_code, loads_numpy), argv
+            assert (err == "") == (exit_code == 0), argv
+
+    def test_bad_epsilon_exits_2_with_its_message(self, fresh):
+        _, steps, _, report = fresh
+        (code, out, err, _), = [record for (argv, *_), record in zip(steps, report)
+                                if "--epsilon" in argv]
+        assert (code, out, err) == (2, "", "error: epsilon must lie in (0, 1), got 0.0\n")
+
+    def test_output_equals_the_same_run_in_process(self, fresh, monkeypatch):
+        tmp_path, steps, _, report = fresh
+        monkeypatch.setenv("COLUMNS", "80")  # the subprocess's help width
+        for (argv, *_), (fresh_argv, *_), record in zip(command_steps(tmp_path, "inproc"), steps,
+                                                        report):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            stdout = out.getvalue().replace(str(tmp_path / "inproc"), str(tmp_path / "fresh"))
+            assert [code, stdout, err.getvalue()] == record[:3], fresh_argv
+        for name in ("builtin/feasibility.txt", "builtin/feasibility.json",
+                     "spec-file/feasibility.txt", "spec-file/feasibility.json",
+                     "mc/mc.csv", "sweep/sweep.csv"):
+            assert ((tmp_path / "inproc" / name).read_bytes()
+                    == (tmp_path / "fresh" / name).read_bytes()), name
+
+
+class TestLazyExports:
+    def test_the_exported_names_are_pinned(self):
+        assert len(HOME) == 51
+        assert sorted(exchsim.__all__) == sorted(HOME)
+
+    @pytest.mark.parametrize("name", sorted(HOME))
+    def test_each_name_is_its_submodules_object(self, name):
+        module = importlib.import_module(f"exchsim.{HOME[name]}")
+        assert getattr(exchsim, name) is getattr(module, name)
+
+    def test_star_import_binds_every_name(self):
+        namespace = {}
+        exec("from exchsim import *", namespace)
+        assert {name: namespace.get(name) for name in HOME} == {
+            name: getattr(exchsim, name) for name in HOME}
+
+    def test_unknown_attribute_raises_naming_it(self):
+        with pytest.raises(AttributeError, match="no_such_export"):
+            exchsim.no_such_export
+
+
+class TestParserVocabulary:
+    """The parser's choices come from the one definition the library checks against."""
+
+    def help_text(self, capsys, command):
+        with pytest.raises(SystemExit):
+            cli.main([command, "--help"])
+        return " ".join(capsys.readouterr().out.split())
+
+    def test_sweep_help_lists_the_axes_in_order(self, capsys):
+        assert montecarlo.SWEEP_AXES is budget.SWEEP_AXES
+        assert montecarlo.normalize_axis is budget.normalize_axis
+        assert f"one of {', '.join(montecarlo.SWEEP_AXES)}" in self.help_text(capsys, "sweep")
+
+    def test_mc_help_lists_the_distributions(self, capsys):
+        assert f"{{{','.join(noise.DISTRIBUTIONS)}}}" in self.help_text(capsys, "mc")

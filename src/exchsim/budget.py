@@ -43,7 +43,7 @@ class PlatformSpec:
 
 @dataclass(frozen=True)
 class TechnologySpec:
-    """Noise figures of one control technology."""
+    """Noise figures of one control technology and the band [bw_low_hz, bw_high_hz) it covers."""
 
     name: str
     sigma_a: float
@@ -55,13 +55,13 @@ class TechnologySpec:
     def __post_init__(self):
         if not self.name:
             raise ValueError("technology name must be nonempty")
-        # Reuse the ControlNoiseSpec invariants (sigma_a, sigma_t_s, band edges).
-        ControlNoiseSpec(
-            sigma_a=self.sigma_a,
-            sigma_t_s=self.sigma_t_s,
-            bw_low_hz=self.bw_low_hz,
-            bw_high_hz=self.bw_high_hz,
-        )
+        ControlNoiseSpec(sigma_a=self.sigma_a, sigma_t_s=self.sigma_t_s)  # its sigma checks
+        if math.isnan(self.bw_low_hz) or math.isnan(self.bw_high_hz):
+            raise ValueError("bandwidth limits must not be NaN")
+        if not (0.0 <= self.bw_low_hz < self.bw_high_hz):
+            raise ValueError(
+                f"need bw_high_hz > bw_low_hz >= 0, got [{self.bw_low_hz!r}, {self.bw_high_hz!r}]"
+            )
 
 
 @dataclass(frozen=True)
@@ -144,9 +144,7 @@ def required_bandwidth(duration_s):
 def _inverse_duration(t_s):
     if t_s == 0.0:
         return math.inf
-    if math.isinf(t_s):
-        return 0.0
-    return 1.0 / t_s
+    return 1.0 / t_s  # 0.0 at t_s = inf
 
 
 def feasibility(platform, tech, epsilon, strict_bandwidth=False):

@@ -30,6 +30,7 @@ from .noise import RNG_SCHEME, ControlNoiseSpec, DISTRIBUTIONS, RejectedSampleEr
 CATALOG_ENV_VAR = "EXCHSIM_CATALOG"
 DEFAULT_EPSILON = 1e-5
 DEFAULT_OUT_DIR = "exchsim_out"
+_NO_SPEC_FILE = budget.load_specs("")  # what feasibility reads without --spec-file
 
 
 def _fmt(x):
@@ -114,7 +115,7 @@ def _resolve_platform(args, loaded):
                 f"unknown platform {args.platform!r}; builtins: {sorted(platforms)}"
             )
         return platforms[args.platform], args.platform
-    if loaded is not None and loaded.platform is not None:
+    if loaded.platform is not None:
         return loaded.platform, "spec-file"
     return budget.SI_SPIN, "si-spin"  # default platform, echoed in the report
 
@@ -130,7 +131,7 @@ def _resolve_technology(args, loaded):
             bw_low_hz=args.bw_low,
             bw_high_hz=args.bw_high,
         )
-    file_techs = loaded.technologies if loaded is not None else ()
+    file_techs = loaded.technologies
     if args.tech is not None:
         catalog = budget.merge_catalog(list(_user_technologies(None)) + list(file_techs))
         for tech in catalog:
@@ -149,7 +150,7 @@ def _resolve_technology(args, loaded):
 def _resolve_epsilon(args, loaded):
     if args.epsilon is not None:
         return args.epsilon
-    if loaded is not None and loaded.threshold is not None:
+    if loaded.threshold is not None:
         return loaded.threshold.epsilon
     return DEFAULT_EPSILON
 
@@ -189,7 +190,7 @@ def _feasibility_text(platform, tech, epsilon, report):
 
 def cmd_feasibility(args):
     started = time.monotonic()
-    loaded = _load_spec_file(args.spec_file) if args.spec_file else None
+    loaded = _load_spec_file(args.spec_file) if args.spec_file else _NO_SPEC_FILE
     platform, platform_name = _resolve_platform(args, loaded)
     tech = _resolve_technology(args, loaded)
     epsilon = _resolve_epsilon(args, loaded)
@@ -222,7 +223,7 @@ def cmd_gate(args):
     from .gates import (gate_error_vs_phase, relative_error_to_phase_error,
                         relative_error_to_phase_error_first_order, swap_power_target)
 
-    if args.phase_error is not None and args.dj is not None:
+    if args.phase_error is not None and (args.dj is not None or args.dt is not None):
         raise ValueError("give either --phase-error or --dj/--dt, not both")
     target = swap_power_target(args.alpha)
     theta_target = math.pi * args.alpha
@@ -264,8 +265,8 @@ def _mc_config(args):
     from .montecarlo import McConfig
 
     noise_spec = ControlNoiseSpec(
-        sigma_a=args.sigma_a or 0.0,
-        sigma_t_s=args.sigma_t or 0.0,
+        sigma_a=args.sigma_a,
+        sigma_t_s=args.sigma_t,
         distribution=args.distribution,
     )
     dephasing = DephasingSpec(args.t2) if args.t2 is not None else None
@@ -329,10 +330,6 @@ def cmd_sweep(args):
         values = [float(v) for v in args.values.split(",") if v.strip()]
     except ValueError as exc:  # float() names the bad token
         raise ValueError(f"--values must be comma-separated numbers: {exc}") from None
-    if not values:
-        raise ValueError("--values must contain at least one number")
-    if any(math.isnan(v) for v in values):
-        raise ValueError(f"--values must not contain nan, got {args.values!r}")
     points = montecarlo.sweep(cfg, args.axis, values, n_workers=args.workers)
     csv_path = _write_mc_outputs(
         args, cfg, [(p.value, p.result, p.analytic_prediction) for p in points], started,

@@ -237,18 +237,21 @@ def _config_for(cfg, axis, value):
 def sweep(cfg, axis, values, n_workers=1):
     """One row per axis value, each estimated with the template's seed.
 
-    Every row's config is built and checked before any sample is drawn.
-    The rows are then estimated in one pass over the blocks, and rows that
-    share a draw key (seed, duration and effective noise: every row of
-    the t2, target_alpha and epsilon axes, or a repeated value) share the
-    draws, so each row equals its own estimate_infidelity.  The analytic
-    reference column carries analytic_infidelity for physical axes and the
-    threshold value itself for the epsilon reference axis.
+    values must not be empty, and every row's config is built and checked
+    before any sample is drawn.  The rows are then estimated in one pass
+    over the blocks, and rows that share a draw key (seed, duration and
+    effective noise: every row of the t2, target_alpha and epsilon axes, or
+    a repeated value) share the draws, so each row equals its own
+    estimate_infidelity.  The analytic reference column carries
+    analytic_infidelity for physical axes and the threshold value itself for
+    the epsilon reference axis.
     """
-    axis = normalize_axis(axis)
     values = [float(value) for value in values]
+    if not values:
+        raise ValueError("values must contain at least one number")
+    axis = normalize_axis(axis)
     cfgs = [_config_for(cfg, axis, value) for value in values]
-    results = _estimate(cfgs, n_workers) if cfgs else []
+    results = _estimate(cfgs, n_workers)
     return tuple(SweepPoint(axis=axis, value=value, result=result,
                             analytic_prediction=(value if axis == "epsilon"
                                                  else analytic_infidelity(row_cfg)))

@@ -48,17 +48,17 @@ class RejectedSampleError(RuntimeError):
 
 @dataclass(frozen=True)
 class ControlNoiseSpec:
-    """Per-pulse control noise figures of a technology.
+    """Per-pulse control noise figures: what the Monte Carlo draws.
 
     sigma_a is the RMS relative amplitude noise (dimensionless), sigma_t_s
-    the RMS timing jitter in seconds, both integrated over the stated band.
+    the RMS timing jitter in seconds, both already integrated over the
+    control band, and distribution the law of the draws.  The band itself
+    belongs to budget.TechnologySpec, which checks it.
     """
 
     sigma_a: float
     sigma_t_s: float
     distribution: str = "gaussian"
-    bw_low_hz: float = 0.0
-    bw_high_hz: float = math.inf
 
     def __post_init__(self):
         if not (math.isfinite(self.sigma_a) and self.sigma_a >= 0.0):
@@ -67,12 +67,6 @@ class ControlNoiseSpec:
             raise ValueError(f"sigma_t_s must be >= 0 and finite, got {self.sigma_t_s!r}")
         if self.distribution not in DISTRIBUTIONS:
             raise ValueError(f"distribution must be one of {DISTRIBUTIONS}, got {self.distribution!r}")
-        if math.isnan(self.bw_low_hz) or math.isnan(self.bw_high_hz):
-            raise ValueError("bandwidth limits must not be NaN")
-        if not (0.0 <= self.bw_low_hz < self.bw_high_hz):
-            raise ValueError(
-                f"need bw_high_hz > bw_low_hz >= 0, got [{self.bw_low_hz!r}, {self.bw_high_hz!r}]"
-            )
 
 
 def _is_physical(duration_s, amp, shift):
@@ -186,7 +180,7 @@ def integrated_snr(sigma_rel):
 
     sigma_rel = 0 returns the infinite-SNR sentinel (math.inf).
     """
-    if not (sigma_rel >= 0.0) or math.isnan(sigma_rel):
+    if not (sigma_rel >= 0.0):
         raise ValueError(f"sigma_rel must be >= 0, got {sigma_rel!r}")
     if sigma_rel == 0.0:
         return math.inf

@@ -226,6 +226,40 @@ class TestBuiltinCatalog:
             budget.merge_catalog([ELECTRICAL])
 
 
+BAD_BANDS = [
+    pytest.param(1e9, 1e6, "need bw_high_hz > bw_low_hz >= 0, got [1000000000.0, 1000000.0]",
+                 id="inverted"),
+    pytest.param(1e6, 1e6, "need bw_high_hz > bw_low_hz >= 0, got [1000000.0, 1000000.0]",
+                 id="empty"),
+    pytest.param(-1.0, 1e6, "need bw_high_hz > bw_low_hz >= 0, got [-1.0, 1000000.0]",
+                 id="negative-low"),
+    pytest.param(math.nan, 1e9, "bandwidth limits must not be NaN", id="nan-low"),
+    pytest.param(0.0, math.nan, "bandwidth limits must not be NaN", id="nan-high"),
+]
+
+
+class TestTechnologyBand:
+    """TechnologySpec owns its band check, on every route that builds one."""
+
+    @pytest.mark.parametrize("low, high, message", BAD_BANDS)
+    def test_constructor_rejects_bad_band(self, low, high, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            replace(ELECTRICAL, bw_low_hz=low, bw_high_hz=high)
+
+    @pytest.mark.parametrize("low, high, message", [
+        pytest.param("1e9", "1e6", "technology: need bw_high_hz > bw_low_hz >= 0, got "
+                     "[1000000000.0, 1000000.0]", id="inverted"),
+        # A spec file's NaN is rejected while parsing, naming the key.
+        pytest.param("nan", "1e9", "technology.bw_low_hz: NaN is not allowed", id="nan-low"),
+        pytest.param("0", "nan", "technology.bw_high_hz: NaN is not allowed", id="nan-high"),
+    ])
+    def test_spec_file_rejects_bad_band(self, low, high, message):
+        text = ELECTRICAL_INI.replace("bw_low_hz = 0.0", f"bw_low_hz = {low}").replace(
+            "bw_high_hz = 1e9", f"bw_high_hz = {high}")
+        with pytest.raises(budget.SpecFileError, match=f"^{re.escape(message)}$"):
+            budget.load_specs(text)
+
+
 class TestLoadSpecs:
     def test_round_trip_matches_builtin(self):
         loaded = budget.load_specs(ELECTRICAL_INI)

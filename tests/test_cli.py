@@ -122,6 +122,20 @@ class TestFeasibilityCommand:
         assert cli.main(["feasibility", "--spec-file", str(spec), "--tech", "bench-generator",
                          "--out", str(tmp_path / "out")]) == 0
 
+    @pytest.mark.parametrize("band, message", [
+        pytest.param(["--bw-low", "1e9", "--bw-high", "1e6"],
+                     "need bw_high_hz > bw_low_hz >= 0, got [1000000000.0, 1000000.0]",
+                     id="inverted"),
+        pytest.param(["--bw-low", "nan"], "bandwidth limits must not be NaN", id="nan-low"),
+        pytest.param(["--bw-high", "nan"], "bandwidth limits must not be NaN", id="nan-high"),
+    ])
+    def test_bad_band_is_input_error(self, tmp_path, capsys, band, message):
+        rc = cli.main(["feasibility", "--sigma-a", "0", "--sigma-t", "0", *band,
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_missing_spec_file_is_input_error(self, tmp_path, capsys):
         rc = cli.main(["feasibility", "--spec-file", str(tmp_path / "missing.spec"),
                        "--out", str(tmp_path / "out")])
@@ -177,6 +191,12 @@ class TestGateCommand:
     def test_conflicting_error_flags_rejected(self, capsys):
         rc = cli.main(["gate", "--alpha", "0.5", "--phase-error", "0.1", "--dj", "1e-5"])
         assert rc == 2
+
+    def test_phase_error_with_dt_rejected(self, capsys):
+        # --dt belongs to --dj, so it is never dropped silently.
+        rc = cli.main(["gate", "--alpha", "0.5", "--phase-error", "0.1", "--dt", "0.5"])
+        assert rc == 2
+        assert "--dt" in capsys.readouterr().err
 
     def test_negative_alpha_is_a_valid_target(self, capsys):
         # SWAP^-0.5 is a gate; only a pulse (mc, sweep) needs alpha >= 0.
@@ -357,6 +377,22 @@ class TestSweepCommand:
         rc = cli.main(["sweep", "--axis", "sigma_a", "--values", ",",
                        "--out", str(tmp_path / "out")])
         assert rc == 2
+        assert capsys.readouterr().err == "error: values must contain at least one number\n"
+
+    # The field each axis's record names when it rejects a value.
+    AXIS_FIELDS = {"sigma_a": "sigma_a", "sigma_t": "sigma_t_s", "t2": "T2",
+                   "target_alpha": "alpha", "epsilon": "epsilon"}
+
+    @pytest.mark.parametrize("axis", montecarlo.SWEEP_AXES)
+    def test_nan_value_is_input_error_naming_the_axis_field(self, tmp_path, capsys, draws, axis):
+        rc = cli.main(["sweep", "--axis", axis, "--values", "1e-3,nan", "--n", "2000000",
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {self.AXIS_FIELDS[axis]} must ") and err.endswith(
+            "got nan\n"), err
+        assert draws == []
+        assert not (tmp_path / "out" / "sweep.csv").exists()
 
     def test_non_numeric_value_is_input_error_naming_flag_and_token(self, tmp_path, capsys):
         rc = cli.main(["sweep", "--axis", "t2", "--values", "1e-3,abc",
@@ -412,6 +448,7 @@ class TestManifestParameters:
         mc = json.loads(read_bytes(tmp_path / "mc" / "mc_manifest.json"))
         sweep = json.loads(read_bytes(tmp_path / "sweep" / "sweep_manifest.json"))
         assert mc["parameters"] == expected
+        assert set(mc["parameters"]["noise"]) == {"sigma_a", "sigma_t_s", "distribution"}
         assert sweep["parameters"] == {**expected, "axis": "epsilon", "values": [1e-5, 1e-4]}
 
     @pytest.mark.parametrize("strict", [[], ["--strict-bandwidth"]])

@@ -400,6 +400,12 @@ class TestSweep:
         with pytest.raises(ValueError, match=re.escape(message)):
             sweep(make_config(n=10), "epsilon", [1e-5, value])
 
+    @pytest.mark.parametrize("axis", ["sigma_a", "voltage"])
+    def test_no_values_rejected(self, draws, axis):
+        with pytest.raises(ValueError, match="values must contain at least one number"):
+            sweep(make_config(n=10), axis, [])
+        assert draws == []
+
     def test_unknown_axis_rejected(self):
         with pytest.raises(ValueError, match="unknown sweep axis"):
             sweep(make_config(n=10), "voltage", [1.0])

@@ -1,6 +1,7 @@
 """Tests for control-noise sampling, SNR figures, and the rectification map."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -21,9 +22,10 @@ class TestControlNoiseSpec:
         with pytest.raises(ValueError, match="sigma_a"):
             noise.ControlNoiseSpec(sigma_a=-1e-3, sigma_t_s=0.0)
 
-    def test_rejects_bad_band(self):
-        with pytest.raises(ValueError, match="bw_high"):
-            noise.ControlNoiseSpec(sigma_a=0.0, sigma_t_s=0.0, bw_low_hz=1e9, bw_high_hz=1e6)
+    def test_has_only_the_drawn_figures(self):
+        # The control band is a technology figure (budget.TechnologySpec checks it).
+        assert [f.name for f in fields(noise.ControlNoiseSpec)] == [
+            "sigma_a", "sigma_t_s", "distribution"]
 
     def test_rejects_unknown_distribution(self):
         with pytest.raises(ValueError, match="distribution"):

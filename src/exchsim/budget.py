@@ -141,12 +141,6 @@ def required_bandwidth(duration_s):
     return 1.0 / duration_s
 
 
-def _inverse_duration(t_s):
-    if t_s == 0.0:
-        return math.inf
-    return 1.0 / t_s  # 0.0 at t_s = inf
-
-
 def feasibility(platform, tech, epsilon, strict_bandwidth=False):
     """Evaluate the full budget; infeasibility is a result, not an error.
 
@@ -177,27 +171,28 @@ def feasibility(platform, tech, epsilon, strict_bandwidth=False):
         factors["jitter"] = jitter_bound / t_max
         limiting.append("jitter")
 
-    bw_needed = _inverse_duration(t_max)
+    # inf at a zero duration: t_min is 0 when sigma_t is, and t_max when epsilon T2 underflows
+    bw_needed, bw_at_t_min = (required_bandwidth(t) if t > 0.0 else math.inf
+                              for t in (t_max, t_min))
     bandwidth_ok = tech.bw_high_hz > bw_needed
     window_low = t_min
     if strict_bandwidth:
-        window_low = max(window_low, _inverse_duration(tech.bw_high_hz))
+        window_low = max(window_low, 1.0 / tech.bw_high_hz)
         if not bandwidth_ok:
             factors["bandwidth"] = bw_needed / tech.bw_high_hz
             limiting.append("bandwidth")
 
     feasible = window_low < t_max
-    ordered = tuple(name for name in CONSTRAINTS if name in limiting)
     return FeasibilityReport(
         feasible=feasible,
         t_window_s=(window_low, t_max) if feasible else None,
-        limiting_constraints=ordered,
+        limiting_constraints=tuple(limiting),  # appended in CONSTRAINTS order
         improvement_factors=factors,
         t_min_s=t_min,
         t_max_s=t_max,
         jitter_floor_s=jitter_floor,
         required_bandwidth_hz=bw_needed,
-        required_bandwidth_at_t_min_hz=_inverse_duration(t_min),
+        required_bandwidth_at_t_min_hz=bw_at_t_min,
         bandwidth_ok=bandwidth_ok,
     )
 
@@ -264,34 +259,24 @@ def _parse_number(section, key, raw):
     return value
 
 
-# Per section: the record type and its (ini key, field, float|str) rows, in
-# the order keys are checked and parsed.  A key is required unless its field
-# has a default.
-_SCHEMA = {
-    "platform": (PlatformSpec, (("t2_seconds", "t2_s", float),
-                                ("sensitivity", "sensitivity", float))),
-    "technology": (TechnologySpec, (("name", "name", str),
-                                    ("sigma_a", "sigma_a", float),
-                                    ("sigma_t_seconds", "sigma_t_s", float),
-                                    ("bw_low_hz", "bw_low_hz", float),
-                                    ("bw_high_hz", "bw_high_hz", float),
-                                    ("notes", "notes", str))),
-    "threshold": (Threshold, (("epsilon", "epsilon", float),)),
-}
+# The record of each section; a section's keys are its record's fields, in
+# field order, with these INI names where they differ.  A float field is read
+# as a number, and a field with a default is optional.
+_SECTIONS = {"platform": PlatformSpec, "technology": TechnologySpec, "threshold": Threshold}
+_INI_KEYS = {"t2_s": "t2_seconds", "sigma_t_s": "sigma_t_seconds"}
 
 
-def _build(section, items, record, rows):
-    keys = [key for key, _, _ in rows]
+def _build(section, items, record):
+    schema = {_INI_KEYS.get(field.name, field.name): field for field in fields(record)}
     for key in items:
-        if key not in keys:
+        if key not in schema:
             raise SpecFileError(f"{section}: unknown key {key!r}")
-    optional = {f.name for f in fields(record) if f.default is not MISSING}
-    for key, field, _ in rows:
-        if key not in items and field not in optional:
+    for key, field in schema.items():
+        if key not in items and field.default is MISSING:
             raise SpecFileError(f"{section}: missing required key {key!r}")
     kwargs = {
-        field: _parse_number(section, key, items[key]) if kind is float else items[key]
-        for key, field, kind in rows
+        field.name: _parse_number(section, key, items[key]) if field.type is float else items[key]
+        for key, field in schema.items()
         if key in items
     }
     try:
@@ -303,11 +288,11 @@ def _build(section, items, record, rows):
 def load_specs(text):
     """Parse spec-file content into platform/technology/threshold records.
 
-    Sections: [platform] {t2_seconds, sensitivity}, [threshold] {epsilon},
-    and one or more technology sections named [technology] or
-    [technology.<label>] {name, sigma_a, sigma_t_seconds, bw_low_hz,
-    bw_high_hz, notes?}.  Numbers accept scientific notation.  Unknown
-    sections or keys are errors.
+    Sections: [platform], [threshold], and one or more technology sections
+    named [technology] or [technology.<label>].  Each section's keys are the
+    fields of its record (PlatformSpec, Threshold, TechnologySpec), except
+    that t2_s and sigma_t_s are written t2_seconds and sigma_t_seconds.
+    Numbers accept scientific notation.  Unknown sections or keys are errors.
     """
     parser = configparser.ConfigParser(interpolation=None, strict=True)
     try:
@@ -315,12 +300,12 @@ def load_specs(text):
     except configparser.Error as exc:
         raise SpecFileError(f"unparseable spec file: {exc}") from None
 
-    records = {kind: [] for kind in _SCHEMA}
+    records = {kind: [] for kind in _SECTIONS}
     for section in parser.sections():
         kind = "technology" if section.startswith("technology.") else section
-        if kind not in _SCHEMA:
+        if kind not in _SECTIONS:
             raise SpecFileError(f"unknown section {section!r}")
-        records[kind].append(_build(section, dict(parser.items(section)), *_SCHEMA[kind]))
+        records[kind].append(_build(section, dict(parser.items(section)), _SECTIONS[kind]))
     return LoadedSpecs(
         platform=next(iter(records["platform"]), None),
         technologies=tuple(records["technology"]),

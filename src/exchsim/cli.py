@@ -107,6 +107,8 @@ def _resolve_platform(args, loaded):
     if args.t2 is not None or args.sensitivity is not None:
         if args.t2 is None or args.sensitivity is None:
             raise ValueError("--t2 and --sensitivity must be given together")
+        if args.platform is not None:
+            raise ValueError("give either --platform or --t2/--sensitivity, not both")
         return budget.PlatformSpec(t2_s=args.t2, sensitivity=args.sensitivity), "custom"
     if args.platform is not None:
         platforms = budget.builtin_platforms()
@@ -124,13 +126,18 @@ def _resolve_technology(args, loaded):
     if args.sigma_a is not None or args.sigma_t is not None:
         if args.sigma_a is None or args.sigma_t is None:
             raise ValueError("--sigma-a and --sigma-t must be given together")
+        if args.tech is not None:
+            raise ValueError("give either --tech or --sigma-a/--sigma-t, not both")
         return budget.TechnologySpec(
             name="custom",
             sigma_a=args.sigma_a,
             sigma_t_s=args.sigma_t,
-            bw_low_hz=args.bw_low,
-            bw_high_hz=args.bw_high,
+            bw_low_hz=0.0 if args.bw_low is None else args.bw_low,
+            bw_high_hz=math.inf if args.bw_high is None else args.bw_high,
         )
+    if args.bw_low is not None or args.bw_high is not None:
+        raise ValueError("--bw-low/--bw-high give the band of a custom technology "
+                         "(--sigma-a/--sigma-t), not of --tech or a spec-file technology")
     file_techs = loaded.technologies
     if args.tech is not None:
         catalog = budget.merge_catalog(list(_user_technologies(None)) + list(file_techs))
@@ -402,9 +409,8 @@ def _build_parser():
     p.add_argument("--tech", help="technology name from the catalog")
     p.add_argument("--sigma-a", type=float, help="custom technology: relative amplitude noise")
     p.add_argument("--sigma-t", type=float, help="custom technology: timing jitter in seconds")
-    p.add_argument("--bw-low", type=float, default=0.0, help="custom technology band low edge (Hz)")
-    p.add_argument("--bw-high", type=float, default=math.inf,
-                   help="custom technology band high edge (Hz)")
+    p.add_argument("--bw-low", type=float, help="custom technology band low edge (Hz)")
+    p.add_argument("--bw-high", type=float, help="custom technology band high edge (Hz)")
     p.add_argument("--epsilon", type=float, default=None,
                    help=f"error threshold (default {DEFAULT_EPSILON})")
     p.add_argument("--spec-file", help="INI spec file providing platform/technology/threshold")

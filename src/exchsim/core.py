@@ -54,36 +54,36 @@ def max_abs(m):
     return float(np.max(np.abs(m))) if np.asarray(m).size else 0.0
 
 
-def check_unitary(u, atol=ATOL_CONSTRUCT):
-    """Validate U†U = I within `atol` (max-abs). Returns the array."""
+def check_unitary(u):
+    """Validate U†U = I within ATOL_CONSTRUCT (max-abs). Returns the array."""
     u = as_operator(u)
     defect = max_abs(u.conj().T @ u - np.eye(u.shape[0]))
-    if defect > atol:
+    if defect > ATOL_CONSTRUCT:
         raise ValueError(f"matrix is not unitary: ||U^H U - I||_max = {defect:.3e}")
     return u
 
 
-def check_hermitian(h, atol=ATOL_CONSTRUCT):
+def check_hermitian(h):
     h = as_operator(h)
     defect = max_abs(h - h.conj().T)
-    if defect > atol:
+    if defect > ATOL_CONSTRUCT:
         raise ValueError(f"matrix is not Hermitian: ||H - H^H||_max = {defect:.3e}")
     return h
 
 
-def check_density_matrix(rho, atol=ATOL_CONSTRUCT, eig_floor=EIGVAL_FLOOR):
+def check_density_matrix(rho):
     """Validate a 4x4 density matrix: Hermitian, unit trace, positive.
 
-    Hermiticity and trace are checked at `atol`; eigenvalues may dip to
-    `eig_floor` to absorb roundoff.  Returns the array.
+    Hermiticity and trace are checked at ATOL_CONSTRUCT; eigenvalues may dip
+    to EIGVAL_FLOOR to absorb roundoff.  Returns the array.
     """
     rho = as_operator(rho, dims=(4,))
-    if max_abs(rho - rho.conj().T) > atol:
+    if max_abs(rho - rho.conj().T) > ATOL_CONSTRUCT:
         raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(rho) - 1.0) > atol:
+    if abs(np.trace(rho) - 1.0) > ATOL_CONSTRUCT:
         raise ValueError(f"density matrix trace is {np.trace(rho):.15g}, expected 1")
     smallest = float(np.min(np.linalg.eigvalsh(rho)))
-    if smallest < eig_floor:
+    if smallest < EIGVAL_FLOOR:
         raise ValueError(f"density matrix has negative eigenvalue {smallest:.3e}")
     return rho
 

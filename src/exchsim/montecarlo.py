@@ -27,6 +27,7 @@ bit-identical to its own estimate_infidelity.
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import reduce
 from itertools import chain
@@ -167,16 +168,13 @@ def _estimate(cfgs, n_workers):
                                     np.min(values), np.max(values), redraws)
         return records
 
-    merge_rows = lambda x, y: list(map(_merge, x, y))
-
-    if workers == 1:
-        totals = reduce(merge_rows, map(run_block, blocks))
-    else:
-        window = 16 * workers  # blocks in flight: a window is mapped once the last is merged
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = chain.from_iterable(pool.map(run_block, blocks[i:i + window])
-                                          for i in range(0, len(blocks), window))
-            totals = reduce(merge_rows, records)
+    window = 16 * workers  # blocks in flight: a window is mapped once the last is merged
+    # One worker maps on the calling thread, so no pool is constructed.
+    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        map_blocks = pool.map if pool else map
+        records = chain.from_iterable(map_blocks(run_block, blocks[i:i + window])
+                                      for i in range(0, len(blocks), window))
+        totals = reduce(lambda x, y: list(map(_merge, x, y)), records)
     return [McResult(float(mean), math.sqrt(m2 / (n - 1)) / math.sqrt(n) if n > 1 else 0.0,
                      float(lo), float(hi), n_rejected)
             for _, mean, m2, lo, hi, n_rejected in totals]

@@ -158,6 +158,20 @@ class TestFeasibility:
         assert report.feasible
         assert report.t_window_s[0] == pytest.approx(1e-9, rel=1e-12)
 
+    def test_required_bandwidth_at_t_min(self):
+        # inf when there is no jitter (t_min = 0), 0.0 when amplitude alone exceeds epsilon
+        noiseless = replace(ELECTRICAL, sigma_a=0.0, sigma_t_s=0.0)
+        assert budget.feasibility(SI, noiseless, 1e-5).required_bandwidth_at_t_min_hz == math.inf
+        assert budget.feasibility(SI, ELECTRICAL, 1e-5).required_bandwidth_at_t_min_hz == 0.0
+
+    def test_strict_report_lists_every_limit_in_constraint_order(self):
+        # amplitude 1e-2 >= epsilon, jitter floor 0.1 s >= t_max, band 1e3 Hz < 1 / t_max
+        hopeless = budget.TechnologySpec(
+            name="hopeless", sigma_a=1e-2, sigma_t_s=1e-6, bw_low_hz=0.0, bw_high_hz=1e3
+        )
+        report = budget.feasibility(SI, hopeless, 1e-5, strict_bandwidth=True)
+        assert report.limiting_constraints == ("amplitude", "jitter", "bandwidth")
+
     def test_monotone_under_improvements(self):
         rng = np.random.default_rng(41)
         flips = 0
@@ -304,6 +318,13 @@ class TestLoadSpecs:
         (tech,) = budget.load_specs(text).technologies
         assert tech.notes == ""
         assert tech == replace(ELECTRICAL, notes="")
+
+    def test_string_fields_stay_strings(self):
+        text = ELECTRICAL_INI.replace("name = electrical-pulse-generator", "name = 1e-3").replace(
+            "notes = Best", "notes = 2 ; Best")
+        (tech,) = budget.load_specs(text).technologies
+        assert tech.name == "1e-3"
+        assert tech.notes.startswith("2 ; Best")
 
     def test_unknown_key_is_reported_before_missing_key(self):
         with pytest.raises(budget.SpecFileError, match="platform: unknown key 'extra'"):

@@ -136,6 +136,31 @@ class TestFeasibilityCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flags, first, second", [
+        pytest.param(["--tech", "electrical-pulse-generator", "--bw-high", "1e6",
+                      "--strict-bandwidth"], "--tech", "--bw-high", id="band-with-tech"),
+        pytest.param(["--platform", "nope", "--t2", "1e-3", "--sensitivity", "1",
+                      "--sigma-a", "0", "--sigma-t", "0"], "--platform", "--t2",
+                     id="platform-with-t2"),
+        pytest.param(["--tech", "nope", "--sigma-a", "0", "--sigma-t", "0"], "--tech",
+                     "--sigma-a", id="tech-with-sigmas"),
+    ])
+    def test_overridden_flag_is_input_error(self, tmp_path, capsys, flags, first, second):
+        # A flag that another flag would override is never dropped silently.
+        rc = cli.main(["feasibility", *flags, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert first in err and second in err
+        assert not (tmp_path / "out").exists()
+
+    def test_custom_technology_band_defaults_to_zero_to_inf(self, tmp_path, capsys):
+        rc = cli.main(["feasibility", "--sigma-a", "0", "--sigma-t", "0",
+                       "--out", str(tmp_path / "out")])
+        assert rc == 0
+        report = json.loads(read_bytes(tmp_path / "out" / "feasibility.json"))
+        assert (report["technology"]["bw_low_hz"], report["technology"]["bw_high_hz"]) == (
+            0.0, "inf")
+
     def test_missing_spec_file_is_input_error(self, tmp_path, capsys):
         rc = cli.main(["feasibility", "--spec-file", str(tmp_path / "missing.spec"),
                        "--out", str(tmp_path / "out")])

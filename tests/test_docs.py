@@ -1,13 +1,16 @@
-"""Tests that the README's module map names what the modules define."""
+"""Tests that the README's module map and spec-file example match the code."""
 
+import configparser
 import importlib
 import pkgutil
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import exchsim
+from exchsim import budget
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -41,3 +44,19 @@ def test_module_map_name_resolves(module, name):
     for part in name.split("."):
         assert hasattr(value, part), f"{module} has no {name!r}"
         value = getattr(value, part)
+
+
+def test_readme_spec_file_loads_and_names_every_key():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n### Spec files\n", 1)[1]
+    block = re.search(r"```ini\n(.*?)```", section, re.DOTALL).group(1)
+    loaded = budget.load_specs(block)  # an unknown section or key raises
+    assert loaded.technologies[0].notes == "optional free text"
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(block)
+    # every key each record accepts, optional ones included
+    accepted = {section: {budget._INI_KEYS.get(field.name, field.name) for field in fields(record)}
+                for section, record in (("platform", budget.PlatformSpec),
+                                        ("technology", budget.TechnologySpec),
+                                        ("threshold", budget.Threshold))}
+    assert {name: set(parser[name]) for name in parser.sections()} == accepted

@@ -2,6 +2,7 @@
 
 import math
 import re
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, replace
@@ -38,7 +39,30 @@ def score_block(cfg, block):
     return montecarlo._score(cfg, t, montecarlo._area_term(cfg, a, t)), rejected
 
 
-def assert_memory_does_not_grow_with_n(run):
+class InTurnPool(ThreadPoolExecutor):
+    """A pool whose threads run the mapped blocks one at a time, in block order.
+
+    Every thread still draws into its own buffer and the estimator's window and
+    merge are unchanged, but no two threads' block temporaries are ever alive
+    at once, so a run's peak memory does not depend on the thread schedule.
+    """
+
+    def map(self, fn, items):
+        items = list(items)
+        done = [threading.Event() for _ in range(len(items) + 1)]
+        done[0].set()
+
+        def in_turn(k):
+            assert done[k].wait(timeout=60), f"item {k - 1} of the window never finished"
+            try:
+                return fn(items[k])
+            finally:
+                done[k + 1].set()
+
+        return super().map(in_turn, range(len(items)))
+
+
+def assert_memory_does_not_grow_with_n(monkeypatch, run):
     """run(n)() peaks at 64 BLOCK samples at most 1.25x as high as at 8 BLOCK."""
     def peak_bytes(n):
         tracemalloc.start()
@@ -48,12 +72,9 @@ def assert_memory_does_not_grow_with_n(run):
         finally:
             tracemalloc.stop()
 
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", InTurnPool)
     run(8 * BLOCK)()  # untraced, so one-time allocations of a first call are not counted
-    # On 2 workers a peak also depends on whether the threads' block temporaries
-    # coincide, which a 64-block run is near sure to see and an 8-block run is
-    # not; the largest of 8 separately traced 8-block runs gives it the same
-    # chances, and memory one run keeps is not counted in the next one's peak.
-    assert peak_bytes(64 * BLOCK) <= 1.25 * max(peak_bytes(8 * BLOCK) for _ in range(8))
+    assert peak_bytes(64 * BLOCK) <= 1.25 * peak_bytes(8 * BLOCK)
 
 
 def hexed(result):
@@ -241,20 +262,20 @@ class TestBlockReduction:
             assert result.n_rejected > 0
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_memory_does_not_grow_with_n(self, workers):
+    def test_memory_does_not_grow_with_n(self, monkeypatch, workers):
         def run(n):
             cfg = make_config(n=n, seed=22, sigma_a=1e-3, sigma_t=1e-12, t2=T2)
             return lambda: estimate_infidelity(cfg, n_workers=workers)
 
-        assert_memory_does_not_grow_with_n(run)
+        assert_memory_does_not_grow_with_n(monkeypatch, run)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_sweep_memory_does_not_grow_with_n(self, workers):
+    def test_sweep_memory_does_not_grow_with_n(self, monkeypatch, workers):
         def run(n):
             cfg = make_config(n=n, seed=22, sigma_a=1e-3, sigma_t=1e-12)
             return lambda: sweep(cfg, "t2", [5e-5, 1e-4, 5e-4, 1e-3, 5e-3], n_workers=workers)
 
-        assert_memory_does_not_grow_with_n(run)
+        assert_memory_does_not_grow_with_n(monkeypatch, run)
 
 
 class TestSamplePathMatchesPublicOps:

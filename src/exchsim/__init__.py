@@ -11,17 +11,13 @@ __version__ = "0.1.0"
 _EXPORTS = {  # submodule -> the public names it defines
     "core": ("SWAP", "density_from_pure", "expm_hermitian", "kron", "process_fidelity",
              "spin_dot_operator"),
-    "gates": ("HBAR_JS", "PulseSpec", "constant_pulse", "exchange_rate_from_energy",
-              "exchange_unitary", "gate_error_vs_phase", "phase_from_pulse", "profile_pulse",
-              "pulse_for_target", "relative_error_to_phase_error",
-              "relative_error_to_phase_error_first_order", "swap_power_target"),
-    "noise": ("ControlNoiseSpec", "RectificationMap", "RejectedSampleError",
-              "db_to_amplitude_snr", "db_to_power_snr", "integrated_snr",
-              "rectification_exchange", "sample_pulse", "sensitivity_map",
-              "shot_noise_relative_amplitude"),
+    "gates": ("PulseSpec", "constant_pulse", "exchange_unitary", "gate_error_vs_phase",
+              "phase_from_pulse", "profile_pulse", "pulse_for_target",
+              "relative_error_to_phase_error", "relative_error_to_phase_error_first_order",
+              "swap_power_target"),
+    "noise": ("ControlNoiseSpec", "RejectedSampleError", "integrated_snr", "sample_pulse"),
     "dephasing": ("DephasingSpec", "QuantumChannel4", "apply_channel",
-                  "average_fidelity_from_entanglement", "compose_channel_after_unitary",
-                  "dephasing_channel", "entanglement_fidelity"),
+                  "compose_channel_after_unitary", "dephasing_channel", "entanglement_fidelity"),
     "budget": ("FeasibilityReport", "PlatformSpec", "TechnologySpec", "Threshold",
                "builtin_catalog", "builtin_platforms", "feasibility", "load_specs",
                "max_gate_time", "min_gate_time_from_jitter", "required_bandwidth"),

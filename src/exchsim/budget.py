@@ -168,7 +168,7 @@ def feasibility(platform, tech, epsilon, strict_bandwidth=False):
         t_min = min_gate_time_from_jitter(tech.sigma_t_s, epsilon - amp_error)
         jitter_bound = t_min
     if tech.sigma_t_s > 0.0 and jitter_bound >= t_max:
-        factors["jitter"] = jitter_bound / t_max
+        factors["jitter"] = jitter_bound / t_max if t_max > 0.0 else math.inf
         limiting.append("jitter")
 
     # inf at a zero duration: t_min is 0 when sigma_t is, and t_max when epsilon T2 underflows

@@ -109,8 +109,3 @@ def entanglement_fidelity(channel, target):
     for k in channel.kraus:
         total += abs(np.trace(target.conj().T @ k)) ** 2
     return float(min(1.0, total / 16.0))
-
-
-def average_fidelity_from_entanglement(f_e):
-    """Average gate fidelity (4 F_e + 1) / 5 from entanglement fidelity."""
-    return (4.0 * f_e + 1.0) / 5.0

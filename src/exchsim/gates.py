@@ -8,7 +8,7 @@ duration.
 
 Unit convention: pulse strength is the exchange angular frequency in rad/s
 (energy divided by hbar); durations are seconds.  theta = (J/hbar) * T / 2 for
-a constant pulse.  HBAR_JS is provided for callers whose inputs are energies.
+a constant pulse.
 """
 
 import math
@@ -17,14 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-
-HBAR_JS = 1.054571817e-34  # J s; only needed to convert energies to rad/s
-
-
-def exchange_rate_from_energy(j_joules):
-    """Exchange angular frequency (rad/s) from an exchange energy in joules."""
-    return float(j_joules) / HBAR_JS
-
 
 # Singlet/triplet projectors: the spectral structure of the exchange coupling.
 P_TRIPLET = (core.IDENT_4 + core.SWAP) / 2.0

@@ -194,10 +194,18 @@ def analytic_infidelity(cfg):
     """
     theta = phase_from_pulse(cfg.nominal)
     offset = theta - math.pi * cfg.target_alpha
-    rel_var = (cfg.sensitivity * cfg.noise.sigma_a) ** 2 + (
-        cfg.noise.sigma_t_s / cfg.nominal.duration_s
-    ) ** 2
-    coherent = (3.0 / 16.0) * (offset**2 + theta**2 * rel_var)
+    amp = cfg.sensitivity * cfg.noise.sigma_a
+    jitter = cfg.noise.sigma_t_s / cfg.nominal.duration_s
+    try:
+        coherent = (3.0 / 16.0) * (offset**2 + theta**2 * (amp**2 + jitter**2))
+    except OverflowError:  # a float ** raises where x * x returns inf
+        coherent = math.nan
+    if not math.isfinite(coherent):
+        # A square left double range, or theta^2 underflowed to 0 against an
+        # infinite variance: square theta amp and theta jitter, which McConfig
+        # keeps finite, so the reference is finite or inf, never nan.
+        amp, jitter = theta * amp, theta * jitter
+        coherent = (3.0 / 16.0) * (offset * offset + amp * amp + jitter * jitter)
     dephasing = cfg.dephasing or _NO_DEPHASING
     p1 = flip_probability(cfg.nominal.duration_s, dephasing.t2_q1_s)
     p2 = flip_probability(cfg.nominal.duration_s, dephasing.t2_q2_s)

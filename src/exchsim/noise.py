@@ -1,9 +1,7 @@
 """Classical control-noise models for exchange pulses.
 
-Covers per-pulse amplitude and timing noise, band-integrated SNR figures,
-shot-noise limits, field-to-exchange sensitivity, and a phenomenological
-map from optical intensity to exchange strength for photo-modulated
-barriers.
+Covers per-pulse amplitude and timing noise and band-integrated SNR
+figures.
 
 The noise model is white-over-band and quasi-static per pulse: each gate
 draws one relative-amplitude scalar and one timing scalar.
@@ -185,93 +183,3 @@ def integrated_snr(sigma_rel):
     if sigma_rel == 0.0:
         return math.inf
     return 1.0 / sigma_rel
-
-
-def db_to_amplitude_snr(db):
-    """Amplitude-convention SNR from decibels: 10^(db/20); 80 dB -> 1e4.
-
-    This is the default convention throughout; see db_to_power_snr for the
-    power reading of the same figure.
-    """
-    return 10.0 ** (float(db) / 20.0)
-
-
-def db_to_power_snr(db):
-    """Power-convention SNR from decibels: 10^(db/10); 80 dB -> 1e8."""
-    return 10.0 ** (float(db) / 10.0)
-
-
-def shot_noise_relative_amplitude(n_photons):
-    """Poisson shot-noise floor: relative amplitude noise 1/sqrt(N) for N photons."""
-    if not (n_photons > 0.0):
-        raise ValueError(f"n_photons must be > 0, got {n_photons!r}")
-    return 1.0 / math.sqrt(n_photons)
-
-
-def sensitivity_map(delta_field_rel, sensitivity):
-    """Relative exchange error from a relative control-field error.
-
-    `sensitivity` is the logarithmic sensitivity (dJ/dE)(E/J); zero models a
-    sweet spot where first-order field noise cancels.
-    """
-    if not (math.isfinite(sensitivity) and sensitivity >= 0.0):
-        raise ValueError(f"sensitivity must be >= 0 and finite, got {sensitivity!r}")
-    if not math.isfinite(delta_field_rel):
-        raise ValueError("delta_field_rel must be finite")
-    return sensitivity * delta_field_rel
-
-
-@dataclass(frozen=True)
-class RectificationMap:
-    """Phenomenological optical-intensity -> exchange-strength map.
-
-    Illumination reduces the magnitude of the confining polarization, which
-    lowers the inter-dot barrier and increases orbital overlap.  Modeled as
-    the minimal monotone exponential
-
-        J(I) = j0 * exp(-barrier * (1 - intensity_coeff * I)),
-
-    with `barrier` the dark barrier height in units of the tunneling decay
-    scale and `intensity_coeff` the fractional polarization reduction per
-    unit intensity (caller-declared intensity units).  The dark value is
-    j0 * exp(-barrier).  Isolated here so the functional form can be swapped
-    without touching any budget logic.
-    """
-
-    j0_rad_per_s: float
-    barrier: float
-    intensity_coeff: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.j0_rad_per_s) and self.j0_rad_per_s > 0.0):
-            raise ValueError(f"j0_rad_per_s must be > 0, got {self.j0_rad_per_s!r}")
-        if not (math.isfinite(self.barrier) and self.barrier >= 0.0):
-            raise ValueError(f"barrier must be >= 0, got {self.barrier!r}")
-        if not (math.isfinite(self.intensity_coeff) and self.intensity_coeff >= 0.0):
-            raise ValueError(f"intensity_coeff must be >= 0, got {self.intensity_coeff!r}")
-
-    def exchange_at(self, intensity):
-        """Exchange angular frequency at one admissible intensity sample."""
-        if not math.isfinite(intensity) or intensity < 0.0:
-            raise ValueError(f"intensity must be >= 0 and finite, got {intensity!r}")
-        reduction = self.intensity_coeff * intensity
-        if reduction > 1.0:
-            raise ValueError(
-                f"inadmissible intensity: polarization reduction {reduction:.3g} exceeds 1"
-            )
-        return self.j0_rad_per_s * math.exp(-self.barrier * (1.0 - reduction))
-
-
-def rectification_exchange(rect_map, intensity_profile):
-    """Exchange pulse profile J(t) driven by an optical intensity profile.
-
-    intensity_profile is a sequence of (time_s, intensity) samples starting
-    at t = 0 with strictly increasing times; output strength is monotone
-    increasing in intensity, pointwise.
-    """
-    from .gates import profile_pulse
-
-    samples = tuple(intensity_profile)
-    if len(samples) < 2:
-        raise ValueError("intensity profile needs at least two (time, intensity) samples")
-    return profile_pulse(tuple((float(ti), rect_map.exchange_at(float(ii))) for ti, ii in samples))

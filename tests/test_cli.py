@@ -637,7 +637,7 @@ class TestCatalogCommand:
         assert report["technology"]["name"] == "house-generator"
 
 
-FUZZ_VALUES = ["nan", "inf", "-inf", "-1", "0", "", "1e308"]
+FUZZ_VALUES = ["nan", "inf", "-inf", "-1", "0", "", "1e308", "5e-324", "1e-320", "1e-300"]
 MC_FLAGS = ["--alpha", "--duration", "--sigma-a", "--sigma-t", "--t2", "--sensitivity",
             "--n", "--seed", "--workers"]
 MC_BASE = {"--n": "50", "--seed": "3", "--sigma-a": "1e-3", "--sigma-t": "1e-12",
@@ -656,10 +656,15 @@ FUZZ_BASES = {
 # Whole commands beyond the one-flag grid: an alpha whose phase pi*alpha
 # squares past the largest double, and a negative alpha, which no pulse
 # (exchange strength J >= 0) realizes.
-FUZZ_COMMANDS = [["mc", "--alpha=1e160", "--duration=1", "--n=10"],
-                 ["gate", "--alpha=1e308", "--phase-error=0.1"],
-                 ["mc", "--alpha=-0.5", "--n=10"],
-                 ["sweep", "--axis=target_alpha", "--values=-0.5", "--n=10"]]
+ALPHA_COMMANDS = [["mc", "--alpha=1e160", "--duration=1", "--n=10"],
+                  ["gate", "--alpha=1e308", "--phase-error=0.1"],
+                  ["mc", "--alpha=-0.5", "--n=10"],
+                  ["sweep", "--axis=target_alpha", "--values=-0.5", "--n=10"]]
+# And a relative jitter sigma_t / T whose square overflows, against a tiny alpha.
+FUZZ_COMMANDS = ALPHA_COMMANDS + [
+    ["mc", "--duration=1e30", "--sigma-t=1e300", "--alpha=1e-300", "--n=20"],
+    ["sweep", "--axis=sigma_t", "--values=1e300", "--duration=1e30", "--sigma-t=1e300",
+     "--alpha=1e-300", "--n=20"]]
 
 
 def fuzz_cases():
@@ -712,7 +717,7 @@ def test_numeric_flag_exits_0_or_2_without_traceback_or_nan_output(tmp_path, cap
             assert not has_nan(json.loads(read_bytes(path))), argv
 
 
-@pytest.mark.parametrize("argv", FUZZ_COMMANDS, ids=" ".join)
+@pytest.mark.parametrize("argv", ALPHA_COMMANDS, ids=" ".join)
 def test_alpha_whose_phase_squared_overflows_is_input_error(tmp_path, capsys, argv):
     if argv[0] != "gate":
         argv = argv + [f"--out={tmp_path}"]

@@ -148,7 +148,3 @@ class TestEntanglementFidelity:
             assert loss > previous
             assert loss == pytest.approx(t_over_t2, rel=0.01)
             previous = loss
-
-    def test_average_fidelity_conversion(self):
-        assert dephasing.average_fidelity_from_entanglement(1.0) == 1.0
-        assert dephasing.average_fidelity_from_entanglement(0.25) == pytest.approx(0.4)

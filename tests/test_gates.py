@@ -224,11 +224,3 @@ def test_largest_alpha_gives_a_finite_squared_phase():
 def test_pulse_for_target_hits_area():
     p = gates.pulse_for_target(0.5, 5e-9)
     assert gates.phase_from_pulse(p) == pytest.approx(math.pi / 2, rel=1e-14)
-
-
-def test_exchange_rate_from_energy_unit_boundary():
-    # a pulse specified by energy: J * T = pi * hbar realizes the half SWAP
-    t = 1e-9
-    j_joules = math.pi * gates.HBAR_JS / t
-    pulse = gates.constant_pulse(gates.exchange_rate_from_energy(j_joules), t)
-    assert gates.phase_from_pulse(pulse) == pytest.approx(math.pi / 2, rel=1e-12)

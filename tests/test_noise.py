@@ -1,4 +1,4 @@
-"""Tests for control-noise sampling, SNR figures, and the rectification map."""
+"""Tests for control-noise sampling and SNR figures."""
 
 import math
 from dataclasses import fields
@@ -293,92 +293,3 @@ class TestSnrFigures:
     def test_negative_noise_rejected(self):
         with pytest.raises(ValueError):
             noise.integrated_snr(-1e-3)
-
-    def test_db_conversions(self):
-        assert noise.db_to_amplitude_snr(80.0) == pytest.approx(1e4, rel=1e-12)
-        assert noise.db_to_amplitude_snr(0.0) == 1.0
-        assert noise.db_to_amplitude_snr(40.0) == pytest.approx(100.0, rel=1e-12)
-        assert noise.db_to_power_snr(80.0) == pytest.approx(1e8, rel=1e-12)
-
-    def test_shot_noise_values(self):
-        assert noise.shot_noise_relative_amplitude(1e6) == pytest.approx(1e-3, rel=1e-12)
-        assert noise.shot_noise_relative_amplitude(4e6) == pytest.approx(0.5e-3, rel=1e-12)
-        # reaching 1e-5 from 5e-4 requires 2500x more photons
-        ratio = (5e-4 / 1e-5) ** 2
-        assert ratio == pytest.approx(2500.0, rel=1e-12)
-        n0 = 1.0 / (5e-4) ** 2
-        assert noise.shot_noise_relative_amplitude(n0 * ratio) == pytest.approx(1e-5, rel=1e-12)
-
-    def test_shot_noise_against_poisson_oracle(self):
-        mean_photons = 1e6
-        draws = _rng(11).poisson(mean_photons, size=200_000)
-        empirical = np.std(draws, ddof=1) / np.mean(draws)
-        assert empirical == pytest.approx(
-            noise.shot_noise_relative_amplitude(mean_photons), rel=0.02
-        )
-
-    def test_shot_noise_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            noise.shot_noise_relative_amplitude(0.0)
-
-    def test_sensitivity_map(self):
-        assert noise.sensitivity_map(1e-2, 1.0) == pytest.approx(1e-2, rel=1e-15)
-        assert noise.sensitivity_map(0.37, 0.0) == 0.0
-        assert noise.sensitivity_map(1e-2, 0.1) == pytest.approx(1e-3, rel=1e-12)
-
-    def test_snr_sensitivity_chain_consistency(self):
-        for x, s in ((1e-2, 0.5), (3e-4, 2.0), (1e-5, 0.1)):
-            assert noise.integrated_snr(noise.sensitivity_map(x, s)) * s == pytest.approx(
-                noise.integrated_snr(x), rel=1e-12
-            )
-
-
-class TestRectification:
-    MAP = noise.RectificationMap(j0_rad_per_s=1e12, barrier=10.0, intensity_coeff=0.01)
-
-    def test_dark_baseline(self):
-        pulse = noise.rectification_exchange(self.MAP, ((0.0, 0.0), (1e-9, 0.0), (2e-9, 0.0)))
-        dark = self.MAP.j0_rad_per_s * math.exp(-self.MAP.barrier)
-        for _, j in pulse.profile:
-            assert j == pytest.approx(dark, rel=1e-14)
-
-    def test_pointwise_monotone_in_intensity(self):
-        rng = _rng(12)
-        times = np.linspace(0.0, 1e-9, 20)
-        low = rng.uniform(0.0, 50.0, size=times.size)
-        high = low + rng.uniform(0.0, 50.0, size=times.size)
-        p_low = noise.rectification_exchange(self.MAP, tuple(zip(times, low)))
-        p_high = noise.rectification_exchange(self.MAP, tuple(zip(times, high)))
-        for (_, j_low), (_, j_high) in zip(p_low.profile, p_high.profile):
-            assert j_high >= j_low
-
-    def test_area_monotone_under_intensity_increase(self):
-        times = np.linspace(0.0, 1e-9, 20)
-        base = np.full(times.size, 30.0)
-        bumped = base.copy()
-        bumped[7] += 25.0
-        theta_base = gates.phase_from_pulse(
-            noise.rectification_exchange(self.MAP, tuple(zip(times, base)))
-        )
-        theta_bumped = gates.phase_from_pulse(
-            noise.rectification_exchange(self.MAP, tuple(zip(times, bumped)))
-        )
-        assert theta_bumped >= theta_base
-
-    def test_barrier_ratio_example(self):
-        # barrier 10 with a 10% polarization reduction boosts J by a factor e
-        j = self.MAP.exchange_at(10.0)
-        dark = self.MAP.j0_rad_per_s * math.exp(-self.MAP.barrier)
-        assert j / dark == pytest.approx(math.e, rel=1e-12)
-
-    def test_inadmissible_intensity_rejected(self):
-        with pytest.raises(ValueError, match="inadmissible"):
-            self.MAP.exchange_at(150.0)
-        with pytest.raises(ValueError):
-            noise.rectification_exchange(self.MAP, ((0.0, 0.0), (1e-9, 150.0)))
-
-    def test_invariant_validation(self):
-        with pytest.raises(ValueError):
-            noise.RectificationMap(j0_rad_per_s=0.0, barrier=1.0, intensity_coeff=0.1)
-        with pytest.raises(ValueError):
-            noise.RectificationMap(j0_rad_per_s=1.0, barrier=-1.0, intensity_coeff=0.1)

@@ -51,3 +51,27 @@ def random_unitary(rng, dim=4):
 def random_hermitian(rng, dim=4):
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return (z + z.conj().T) / 2.0
+
+
+def stabilizer_states():
+    """The 60 two-qubit stabilizer states, the orbit of |00> under H, S and CNOT.
+
+    They form a state 3-design, so their mean of any quadratic function of
+    |psi><psi| (such as a channel's state fidelity) equals the Haar average.
+    """
+    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    s = np.diag([1.0, 1j])
+    eye = np.eye(2)
+    cnot = np.eye(4)[[0, 1, 3, 2]]
+    generators = [np.kron(h, eye), np.kron(eye, h), np.kron(s, eye), np.kron(eye, s), cnot]
+
+    def key(psi):
+        lead = psi[np.argmax(np.abs(psi) > 1e-9)]
+        return tuple(np.round(psi * abs(lead) / lead, 9))  # fix the global phase
+
+    start = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+    found, frontier = {key(start): start}, [start]
+    while frontier:
+        frontier = [g @ psi for psi in frontier for g in generators]
+        frontier = [found.setdefault(key(psi), psi) for psi in frontier if key(psi) not in found]
+    return list(found.values())

@@ -124,6 +124,20 @@ class TestFeasibility:
         assert report.t_min_s == expected_t_min
         assert report.improvement_factors["jitter"] == expected_t_min / report.t_max_s
 
+    # epsilon * T2 underflows to 0: amplitude-limited, jitter-limited, and a subnormal epsilon
+    @pytest.mark.parametrize("t2, epsilon, sigma_a", [
+        (1e-320, 1e-5, 1e-4), (1e-320, 1e-5, 1e-7), (5e-4, 5e-324, 0.0)])
+    def test_zero_decoherence_ceiling_has_infinite_jitter_factor(self, t2, epsilon, sigma_a):
+        tech = budget.TechnologySpec(
+            name="t", sigma_a=sigma_a, sigma_t_s=1e-12, bw_low_hz=0.0, bw_high_hz=1e12
+        )
+        report = budget.feasibility(budget.PlatformSpec(t2_s=t2, sensitivity=1.0), tech, epsilon)
+        assert report.t_max_s == 0.0
+        assert not report.feasible and report.t_window_s is None
+        assert "jitter" in report.limiting_constraints
+        assert report.improvement_factors["jitter"] == math.inf
+        assert report.required_bandwidth_hz == math.inf
+
     def test_amplitude_at_threshold_is_infeasible(self):
         tech = budget.TechnologySpec(
             name="edge", sigma_a=1e-5, sigma_t_s=0.0, bw_low_hz=0.0, bw_high_hz=1e12

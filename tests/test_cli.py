@@ -83,6 +83,17 @@ class TestFeasibilityCommand:
         assert report["platform"]["name"] == "si-spin"
         assert report["t_window_s"] == [0.0, 5.000e-9]
 
+    def test_decoherence_ceiling_that_underflows_reports_infeasible(self, tmp_path, capsys):
+        # epsilon * T2 = 1e-325 underflows to 0: no gate is fast enough
+        rc = cli.main(["feasibility", "--t2", "1e-320", "--sensitivity", "1", "--sigma-a",
+                       "1e-4", "--sigma-t", "1e-12", "--out", str(tmp_path / "out")])
+        assert rc == 0
+        assert "verdict:     INFEASIBLE" in capsys.readouterr().out
+        report = json.loads(read_bytes(tmp_path / "out" / "feasibility.json"))
+        assert report["t_max_s"] == 0.0
+        assert report["improvement_factors"]["jitter"] == "inf"
+        assert report["limiting_constraints"] == ["amplitude", "jitter"]
+
     def test_report_files_byte_identical_across_runs(self, tmp_path, capsys):
         args = ["feasibility", "--platform", "si-spin", "--tech",
                 "modelocked-laser-10GHz", "--epsilon", "1e-5"]

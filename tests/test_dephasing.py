@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from exchsim import core, dephasing, gates
-from helpers import random_density, random_unitary
+from helpers import random_density, random_unitary, stabilizer_states
 
 T2 = 0.5e-3
 SPEC = dephasing.DephasingSpec(T2)
@@ -148,3 +148,26 @@ class TestEntanglementFidelity:
             assert loss > previous
             assert loss == pytest.approx(t_over_t2, rel=0.01)
             previous = loss
+
+    # Average gate fidelity is (4 F_e + 1) / 5: the state fidelity <psi|U† E(psi) U|psi>
+    # averaged over the stabilizer states, a 3-design, is its Haar average.
+    @pytest.mark.parametrize("case", ["dephasing", "detuned-exchange", "random-unitaries"])
+    def test_average_gate_fidelity_is_the_state_design_mean(self, case):
+        rng = np.random.default_rng(41)
+        if case == "dephasing":
+            channel, target = dephasing.dephasing_channel(T2, SPEC), np.eye(4)
+        elif case == "detuned-exchange":
+            channel = dephasing.compose_channel_after_unitary(
+                dephasing.dephasing_channel(0.1 * T2, dephasing.DephasingSpec(T2, 10 * T2)),
+                gates.exchange_unitary(math.pi / 2 + 0.1))
+            target = gates.swap_power_target(0.5)
+        else:
+            channel = dephasing.compose_channel_after_unitary(
+                dephasing.dephasing_channel(T2, SPEC), random_unitary(rng))
+            target = random_unitary(rng)
+        states = stabilizer_states()
+        mean = sum((target @ psi).conj() @ dephasing.apply_channel(
+            channel, core.density_from_pure(psi)) @ (target @ psi) for psi in states) / len(states)
+        f_e = dephasing.entanglement_fidelity(channel, target)
+        assert mean.real == pytest.approx((4.0 * f_e + 1.0) / 5.0, abs=1e-12)
+        assert abs(mean.imag) <= 1e-12

@@ -287,6 +287,10 @@ class TestSnrFigures:
         # the threshold 1e-5 demands an SNR above 1e5
         assert noise.integrated_snr(1e-5) == pytest.approx(1e5, rel=1e-12)
 
+    def test_80_db_of_amplitude_accuracy_is_a_relative_error_of_1e_4(self):
+        # the README's decibel convention: SNR = 10^(dB/20)
+        assert 20.0 * math.log10(noise.integrated_snr(1e-4)) == pytest.approx(80.0, rel=1e-15)
+
     def test_zero_noise_gives_infinite_snr(self):
         assert noise.integrated_snr(0.0) == math.inf
 

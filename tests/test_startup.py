@@ -11,8 +11,10 @@ import importlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +39,15 @@ EXPORTS = {
                    "sweep"},
 }
 HOME = {name: module for module, names in EXPORTS.items() for name in names}
+# Names the package once exported and no longer defines, by former submodule.
+DELETED = {
+    "noise": {"RectificationMap", "db_to_amplitude_snr", "db_to_power_snr",
+              "rectification_exchange", "sensitivity_map", "shot_noise_relative_amplitude"},
+    "gates": {"HBAR_JS", "exchange_rate_from_energy"},
+    "dephasing": {"average_fidelity_from_entanglement"},
+}
+FORMER_HOME = {name: module for module, names in DELETED.items() for name in names}
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 SPEC_FILE = (
     "[platform]\nt2_seconds = 0.5e-3\nsensitivity = 1.0\n\n"
@@ -167,6 +178,14 @@ class TestLazyExports:
     def test_unknown_attribute_raises_naming_it(self):
         with pytest.raises(AttributeError, match="no_such_export"):
             exchsim.no_such_export
+
+    @pytest.mark.parametrize("name", sorted(FORMER_HOME))
+    def test_a_deleted_name_is_gone_from_package_submodule_and_readme(self, name):
+        with pytest.raises(AttributeError, match=name):
+            getattr(exchsim, name)
+        assert name not in exchsim.__all__
+        assert not hasattr(importlib.import_module(f"exchsim.{FORMER_HOME[name]}"), name)
+        assert not re.search(rf"\b{name}\b", README.read_text(encoding="utf-8"))
 
 
 class TestParserVocabulary:

@@ -14,7 +14,6 @@ least 1/T; that requirement is reported, and gates feasibility only in
 strict mode, since band-integrated noise figures already reflect it.
 """
 
-import configparser
 import math
 from dataclasses import MISSING, dataclass, fields
 
@@ -294,6 +293,8 @@ def load_specs(text):
     that t2_s and sigma_t_s are written t2_seconds and sigma_t_seconds.
     Numbers accept scientific notation.  Unknown sections or keys are errors.
     """
+    import configparser  # only spec files need it, not the CLI's start-up
+
     parser = configparser.ConfigParser(interpolation=None, strict=True)
     try:
         parser.read_string(text)

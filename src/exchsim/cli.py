@@ -9,18 +9,17 @@ McConfig (plus workers, and a sweep's axis and values) or those same inputs.
 With a fixed seed the primary output files are byte-identical across runs
 and worker counts; manifests are not.  Only gate, mc and sweep load numpy,
 when they run: the numpy-backed modules are imported inside their commands.
+Likewise json, csv, platform, traceback and configparser (in
+budget.load_specs) are imported only in the code that uses them, so
+--version, --help and a text catalog load none of them.
 """
 
 import argparse
-import csv
 import io
-import json
 import math
 import os
-import platform
 import sys
 import time
-import traceback
 from dataclasses import asdict
 
 from . import __version__, budget
@@ -30,7 +29,8 @@ from .noise import RNG_SCHEME, ControlNoiseSpec, DISTRIBUTIONS, RejectedSampleEr
 CATALOG_ENV_VAR = "EXCHSIM_CATALOG"
 DEFAULT_EPSILON = 1e-5
 DEFAULT_OUT_DIR = "exchsim_out"
-_NO_SPEC_FILE = budget.load_specs("")  # what feasibility reads without --spec-file
+# what feasibility reads without --spec-file: load_specs("") without the INI parser
+_NO_SPEC_FILE = budget.LoadedSpecs(platform=None, technologies=(), threshold=None)
 
 
 def _fmt(x):
@@ -61,6 +61,8 @@ def _write_file(path, text):
 
 def _json_text(value):
     """value as indented JSON with sorted keys and a final newline; inf and nan as strings."""
+    import json
+
     return json.dumps(_jsonable(value), indent=2, sort_keys=True) + "\n"
 
 
@@ -294,6 +296,9 @@ CSV_HEADER = ["axis_value", "mean_infidelity", "stderr", "analytic_prediction",
 
 def _write_mc_outputs(args, cfg, rows, started, **parameters):
     """<command>.csv from (axis_value, McResult, analytic) rows, and its manifest."""
+    import csv
+    import platform
+
     import numpy as np
 
     os.makedirs(args.out, exist_ok=True)
@@ -453,6 +458,8 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:
+        import traceback
+
         traceback.print_exc()
         return 1
 

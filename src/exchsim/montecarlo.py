@@ -64,17 +64,22 @@ class McConfig:
         if not (math.isfinite(self.sensitivity) and self.sensitivity >= 0.0):
             raise ValueError(f"sensitivity must be >= 0 and finite, got {self.sensitivity!r}")
         # Draws reach _MAX_RADIUS sigma, so the relative errors |a| and
-        # |s| = |t| / T stay below x = _MAX_RADIUS max(sigma_rel): the pulse-area
-        # error theta0 (a + s + a s) below theta0 x (2 + x) and the realized
-        # duration below T (1 + x).  Past the largest x for which both bounds
-        # are finite, some draw overflows and its score turns nan.
+        # |s| = |t| / T stay below x_a and x_s, _MAX_RADIUS times their sigmas,
+        # and x = max(x_a, x_s): the pulse-area error theta0 (a + s + a s) below
+        # theta0 x (2 + x) and the realized duration below T (1 + x).  a + s + a s
+        # is formed before it is scaled by theta0, so its bound
+        # x_a + x_s + x_a x_s must be finite too, whatever theta0.  Past the
+        # largest x for which these bounds are finite, some draw overflows and
+        # its score turns nan.
         duration = self.nominal.duration_s
         sigmas = {"sensitivity * sigma_a": self.sensitivity * self.noise.sigma_a,
                   "sigma_t_s / duration": self.noise.sigma_t_s / duration}
         name = max(sigmas, key=sigmas.get)
-        x = _MAX_RADIUS * sigmas[name]
+        x_a, x_s = (_MAX_RADIUS * sigma for sigma in sigmas.values())
+        x = max(x_a, x_s)
         theta0 = abs(phase_from_pulse(self.nominal))
-        if not math.isfinite(theta0 * x * (2.0 + x) + duration * (1.0 + x)):
+        if not (math.isfinite(x_a + x_s + x_a * x_s)
+                and math.isfinite(theta0 * x * (2.0 + x) + duration * (1.0 + x))):
             raise ValueError(f"{name} = {sigmas[name]!r} is too large: the errors of a "
                              f"{_MAX_RADIUS:.2f}-sigma draw overflow")
 

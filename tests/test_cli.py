@@ -1,10 +1,12 @@
 """Tests for the command-line interface: exit codes, outputs, determinism."""
 
 import csv
+import itertools
 import json
 import math
 import os
 import platform
+import random
 import re
 from dataclasses import asdict, fields
 
@@ -185,6 +187,8 @@ class TestFeasibilityCommand:
         rc = cli.main(["feasibility", "--platform", "si-spin", "--sigma-a", "0",
                        "--sigma-t", "0", "--out", str(tmp_path / "out")])
         assert rc == 1
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "synthetic failure" in err
 
 
 class TestGateCommand:
@@ -671,32 +675,51 @@ ALPHA_COMMANDS = [["mc", "--alpha=1e160", "--duration=1", "--n=10"],
                   ["gate", "--alpha=1e308", "--phase-error=0.1"],
                   ["mc", "--alpha=-0.5", "--n=10"],
                   ["sweep", "--axis=target_alpha", "--values=-0.5", "--n=10"]]
-# And a relative jitter sigma_t / T whose square overflows, against a tiny alpha.
+# And, against a tiny alpha, a relative jitter sigma_t / T whose square
+# overflows, and relative sigmas whose product a s overflows.
 FUZZ_COMMANDS = ALPHA_COMMANDS + [
     ["mc", "--duration=1e30", "--sigma-t=1e300", "--alpha=1e-300", "--n=20"],
     ["sweep", "--axis=sigma_t", "--values=1e300", "--duration=1e30", "--sigma-t=1e300",
-     "--alpha=1e-300", "--n=20"]]
+     "--alpha=1e-300", "--n=20"],
+    ["mc", "--alpha=1e-300", "--duration=1", "--sigma-a=1e154", "--sigma-t=1e154",
+     "--n=20000"],
+    ["mc", "--alpha=1e-300", "--duration=1", "--sigma-a=1e301", "--sigma-t=1e301", "--n=20"]]
+
+
+# Values for the pairs of flags: FUZZ_VALUES and magnitudes whose products or
+# squares leave double range.
+PAIR_VALUES = FUZZ_VALUES + ["1e-30", "1", "1e30", "1e300", "1e154", "1e-154"]
+PAIR_DRAWS = 2  # seeded value pairs per pair of flags
 
 
 def fuzz_cases():
     """Each numeric flag of each command given each FUZZ_VALUE, --values on
-    each sweep axis, and each of FUZZ_COMMANDS; one case is a list of argvs."""
-    def grid(command, base, flag):
-        for value in FUZZ_VALUES:
-            options = {**base, flag: value}
-            if flag == "--phase-error":
-                del options["--dj"]  # the two error inputs exclude each other
-            yield [command] + [f"{name}={v}" for name, v in options.items()]
+    each sweep axis, each of FUZZ_COMMANDS, and each pair of a command's
+    numeric flags given PAIR_DRAWS seeded pairs of PAIR_VALUES; one case is a
+    list of argvs."""
+    def command_argv(command, base, values):
+        options = {**base, **values}
+        if "--phase-error" in values and "--dj" not in values:
+            del options["--dj"]  # the two error inputs exclude each other
+        return [command] + [f"{name}={v}" for name, v in options.items()]
 
     for command, (base, flags) in FUZZ_BASES.items():
         for flag in flags:
-            yield pytest.param(list(grid(command, base, flag)), id=f"{command} {flag}")
+            yield pytest.param([command_argv(command, base, {flag: value})
+                                for value in FUZZ_VALUES], id=f"{command} {flag}")
     for axis in montecarlo.SWEEP_AXES:
-        yield pytest.param(list(grid("sweep", {**FUZZ_BASES["sweep"][0], "--axis": axis},
-                                     "--values")),
-                           id=f"sweep --axis={axis} --values")
+        base = {**FUZZ_BASES["sweep"][0], "--axis": axis}
+        yield pytest.param([command_argv("sweep", base, {"--values": value})
+                            for value in FUZZ_VALUES], id=f"sweep --axis={axis} --values")
     for argv in FUZZ_COMMANDS:
         yield pytest.param([argv], id=" ".join(argv))
+    rng = random.Random(0)
+    for command, (base, flags) in FUZZ_BASES.items():
+        for pair in itertools.combinations(flags, 2):
+            yield pytest.param(
+                [command_argv(command, base, {flag: rng.choice(PAIR_VALUES) for flag in pair})
+                 for _ in range(PAIR_DRAWS)],
+                id=f"{command} {' '.join(pair)}")
 
 
 def has_nan(value):

@@ -101,6 +101,9 @@ class TestConfigValidation:
         # just outside the bound: (pi/2) x (2 + x) overflows at x = 13.71 * 8e152
         ({"sigma_a": 8e152}, "sensitivity * sigma_a"),
         ({"sigma_t": 5e-9 * 8e152}, "sigma_t_s / duration"),
+        # a tiny theta0 keeps theta0 x (2 + x) finite, but x_a + x_s + x_a x_s overflows
+        ({"alpha": 1e-300, "duration": 1e-20, "sigma_a": 1e200, "sigma_t": 1e180},
+         "sigma_t_s / duration"),
     ])
     def test_rejects_noise_whose_extreme_draw_overflows(self, kwargs, name):
         with pytest.raises(ValueError, match=re.escape(name) + ".* 13.71-sigma draw overflow"):
@@ -513,7 +516,6 @@ class TestAnalyticPrediction:
     @pytest.mark.parametrize("kwargs", [
         {"alpha": 1e-300, "duration": 1.0, "sigma_a": 1e200},
         {"alpha": 1e-300, "duration": 1e-20, "sigma_t": 1e180},
-        {"alpha": 1e-300, "duration": 1e-20, "sigma_a": 1e200, "sigma_t": 1e180},
     ])
     def test_a_square_past_double_range_gives_the_finite_reference(self, kwargs):
         cfg = make_config(n=10, **kwargs)

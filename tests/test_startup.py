@@ -1,9 +1,11 @@
-"""Start-up: the package's lazy exports, and which CLI commands load numpy.
+"""Start-up: the package's lazy exports, and which modules CLI commands load.
 
 `import exchsim`, `import exchsim.cli`, --version, --help, catalog and
 feasibility must run without numpy; gate, mc and sweep load it when they run.
-Only a fresh interpreter shows what an import loads, so one subprocess runs a
-list of commands and reports, after each, whether numpy was loaded.
+The CLI imports json, csv, platform, traceback and configparser only where it
+uses them.  Only a fresh interpreter shows what an import loads, so one
+subprocess runs a list of commands and reports, after each, whether numpy and
+which of those five modules were loaded.
 """
 
 import contextlib
@@ -55,25 +57,36 @@ SPEC_FILE = (
     "bw_low_hz = 0\nbw_high_hz = 1e12\n\n[threshold]\nepsilon = 1e-5\n"
 )
 
-# Run in a fresh interpreter with a JSON list of argvs: after importing the
-# package, the CLI, and after each cli.main call, record whether numpy is
-# loaded; a call's record also holds its exit code, stdout and stderr.
-FRESH_RUNNER = """
-import contextlib, io, json, sys
+# The standard-library modules the CLI imports only in the code that uses them.
+WATCHED = ("configparser", "csv", "json", "platform", "traceback")
+
+# Run in a fresh interpreter with a Python-literal list of argvs: after
+# importing the package, the CLI, and after each cli.main call, record whether
+# numpy is loaded and which WATCHED modules were added since the runner's first
+# statement (so that what site loaded does not count); a call's record also
+# holds its exit code, stdout and stderr.  json is imported only to print.
+FRESH_RUNNER = f"""
+import sys
+site_modules = set(sys.modules)
+import ast, contextlib, io
+def added():
+    return [name for name in {WATCHED!r} if name in sys.modules and name not in site_modules]
 imports, report = [], []
 import exchsim
 imports.append("numpy" in sys.modules)
 imports.append(exchsim.noise.__name__)  # a submodule not imported yet, as an attribute
 import exchsim.cli
 imports.append("numpy" in sys.modules)
-for argv in json.loads(sys.argv[1]):
+imports.append(added())
+for argv in ast.literal_eval(sys.argv[1]):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = exchsim.cli.main(argv)
         except SystemExit as exc:
             code = exc.code
-    report.append([code, out.getvalue(), err.getvalue(), "numpy" in sys.modules])
+    report.append([code, out.getvalue(), err.getvalue(), "numpy" in sys.modules, added()])
+import json
 print(json.dumps([imports, report]))
 """
 
@@ -82,26 +95,30 @@ MC_ARGS = ["--alpha", "0.5", "--sigma-a", "1e-3", "--sigma-t", "1e-12", "--n", "
 
 
 def command_steps(tmp_path, out):
-    """(argv, exit code, loads numpy) of each command, in run order, writing under tmp_path/out."""
+    """(argv, exit code, loads numpy, WATCHED modules it is the first to load) of each
+    command, in run order, writing under tmp_path/out."""
     spec = tmp_path / "spec.ini"
     spec.write_text(SPEC_FILE)
     out_dir = str(tmp_path / out)
     return [
-        (["--version"], 0, False),
-        (["--help"], 0, False),
-        *[([command, "--help"], 0, False)
+        (["--version"], 0, False, []),
+        (["--help"], 0, False, []),
+        *[([command, "--help"], 0, False, [])
           for command in ("feasibility", "gate", "mc", "sweep", "catalog")],
-        (["catalog"], 0, False),
-        (["catalog", "--format", "json"], 0, False),
+        (["catalog"], 0, False, []),
+        (["catalog", "--format", "json"], 0, False, ["json"]),
         (["feasibility", "--platform", "si-spin", "--tech", "modelocked-laser-10GHz",
-          "--out", out_dir + "/builtin"], 0, False),
-        (["feasibility", "--spec-file", str(spec), "--out", out_dir + "/spec-file"], 0, False),
+          "--out", out_dir + "/builtin"], 0, False, []),
+        (["feasibility", "--spec-file", str(spec), "--out", out_dir + "/spec-file"], 0, False,
+         ["configparser"]),
         (["feasibility", "--epsilon", "0", "--tech", "modelocked-laser-10GHz",
-          "--out", out_dir + "/epsilon-0"], 2, False),
-        (["gate", "--alpha", "0.5", "--dj", "1e-4"], 0, True),
-        (["mc", *MC_ARGS, "--out", out_dir + "/mc"], 0, True),
+          "--out", out_dir + "/epsilon-0"], 2, False, []),
+        # numpy imports platform
+        (["gate", "--alpha", "0.5", "--dj", "1e-4"], 0, True, ["platform"]),
+        # concurrent.futures, which montecarlo imports, imports traceback (through logging)
+        (["mc", *MC_ARGS, "--out", out_dir + "/mc"], 0, True, ["csv", "traceback"]),
         (["sweep", *MC_ARGS, "--axis", "t2", "--values", "5e-5,5e-4", "--distribution",
-          "uniform", "--workers", "2", "--out", out_dir + "/sweep"], 0, True),
+          "uniform", "--workers", "2", "--out", out_dir + "/sweep"], 0, True, []),
     ]
 
 
@@ -114,7 +131,7 @@ def fresh(tmp_path_factory):
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, COLUMNS="80", PYTHONPATH=src + (os.pathsep + path if path else ""))
     done = subprocess.run([sys.executable, "-c", FRESH_RUNNER,
-                           json.dumps([argv for argv, _, _ in steps])],
+                           repr([argv for argv, *_ in steps])],
                           env=env, capture_output=True, text=True, timeout=120, check=True)
     imports, report = json.loads(done.stdout)
     assert len(report) == len(steps)
@@ -124,19 +141,28 @@ def fresh(tmp_path_factory):
 class TestFreshProcess:
     def test_package_and_cli_import_without_numpy(self, fresh):
         _, _, imports, _ = fresh
-        # numpy after `import exchsim`, then a submodule attribute, then `import exchsim.cli`
-        assert imports == [False, "exchsim.noise", False]
+        # numpy after `import exchsim`, then a submodule attribute, then numpy
+        # and the WATCHED modules after `import exchsim.cli`
+        assert imports == [False, "exchsim.noise", False, []]
 
     def test_only_gate_mc_and_sweep_load_numpy(self, fresh):
         _, steps, _, report = fresh
-        for (argv, exit_code, loads_numpy), (code, _, err, loaded) in zip(steps, report):
+        for (argv, exit_code, loads_numpy, _), (code, _, err, loaded, _) in zip(steps, report):
             assert (code, loaded) == (exit_code, loads_numpy), argv
             assert (err == "") == (exit_code == 0), argv
 
+    def test_each_watched_module_is_first_loaded_by_the_command_that_uses_it(self, fresh):
+        _, steps, _, report = fresh
+        loaded = []
+        for (argv, *_, first_loads), record in zip(steps, report):
+            loaded = sorted(loaded + first_loads)
+            assert record[-1] == loaded, argv
+        assert loaded == sorted(WATCHED)
+
     def test_bad_epsilon_exits_2_with_its_message(self, fresh):
         _, steps, _, report = fresh
-        (code, out, err, _), = [record for (argv, *_), record in zip(steps, report)
-                                if "--epsilon" in argv]
+        (code, out, err, *_), = [record for (argv, *_), record in zip(steps, report)
+                                 if "--epsilon" in argv]
         assert (code, out, err) == (2, "", "error: epsilon must lie in (0, 1), got 0.0\n")
 
     def test_output_equals_the_same_run_in_process(self, fresh, monkeypatch):

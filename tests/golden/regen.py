@@ -1,0 +1,16 @@
+"""Rewrite digests.json from the cases of cases.py, run against src/ of this checkout.
+
+    python tests/golden/regen.py
+"""
+
+import json
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "src"))
+
+import cases  # noqa: E402  (after src/ is on the path)
+
+records = {name: cases.run(argv) for name, argv in cases.CASES.items()}
+cases.DIGESTS.write_text(json.dumps(records, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+print(f"wrote {len(records)} records to {cases.DIGESTS}")

@@ -26,7 +26,6 @@ bit-identical to its own estimate_infidelity.
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import reduce
@@ -174,7 +173,9 @@ def _estimate(cfgs, n_workers):
         return records
 
     window = 16 * workers  # blocks in flight: a window is mapped once the last is merged
-    # One worker maps on the calling thread, so no pool is constructed.
+    # One worker maps on the calling thread: no pool, nor concurrent.futures import.
+    if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         map_blocks = pool.map if pool else map
         records = chain.from_iterable(map_blocks(run_block, blocks[i:i + window])

@@ -72,7 +72,7 @@ def assert_memory_does_not_grow_with_n(monkeypatch, run):
         finally:
             tracemalloc.stop()
 
-    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", InTurnPool)
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", InTurnPool)
     run(8 * BLOCK)()  # untraced, so one-time allocations of a first call are not counted
     assert peak_bytes(64 * BLOCK) <= 1.25 * peak_bytes(8 * BLOCK)
 
@@ -224,7 +224,7 @@ class TestDeterminism:
                 started.append(max_workers)
                 super().__init__(max_workers=max_workers)
 
-        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
         cfg = make_config(n=2 * BLOCK + 1, seed=19, sigma_a=1e-3)  # three blocks
         assert estimate_infidelity(cfg, n_workers=64) == estimate_infidelity(cfg)

@@ -3,9 +3,10 @@
 `import exchsim`, `import exchsim.cli`, --version, --help, catalog and
 feasibility must run without numpy; gate, mc and sweep load it when they run.
 The CLI imports json, csv, platform, traceback and configparser only where it
-uses them.  Only a fresh interpreter shows what an import loads, so one
+uses them, and montecarlo imports concurrent.futures only for a pool of more
+than one worker.  Only a fresh interpreter shows what an import loads, so one
 subprocess runs a list of commands and reports, after each, whether numpy and
-which of those five modules were loaded.
+which of those six modules were loaded.
 """
 
 import contextlib
@@ -58,7 +59,7 @@ SPEC_FILE = (
 )
 
 # The standard-library modules the CLI imports only in the code that uses them.
-WATCHED = ("configparser", "csv", "json", "platform", "traceback")
+WATCHED = ("concurrent.futures", "configparser", "csv", "json", "platform", "traceback")
 
 # Run in a fresh interpreter with a Python-literal list of argvs: after
 # importing the package, the CLI, and after each cli.main call, record whether
@@ -115,8 +116,11 @@ def command_steps(tmp_path, out):
           "--out", out_dir + "/epsilon-0"], 2, False, []),
         # numpy imports platform
         (["gate", "--alpha", "0.5", "--dj", "1e-4"], 0, True, ["platform"]),
-        # concurrent.futures, which montecarlo imports, imports traceback (through logging)
-        (["mc", *MC_ARGS, "--out", out_dir + "/mc"], 0, True, ["csv", "traceback"]),
+        (["mc", *MC_ARGS, "--out", out_dir + "/mc"], 0, True, ["csv"]),
+        # two blocks on two workers start the pool; concurrent.futures imports
+        # traceback (through logging)
+        (["mc", *MC_ARGS, "--workers", "2", "--out", out_dir + "/mc-workers-2"], 0, True,
+         ["concurrent.futures", "traceback"]),
         (["sweep", *MC_ARGS, "--axis", "t2", "--values", "5e-5,5e-4", "--distribution",
           "uniform", "--workers", "2", "--out", out_dir + "/sweep"], 0, True, []),
     ]
@@ -180,7 +184,7 @@ class TestFreshProcess:
             assert [code, stdout, err.getvalue()] == record[:3], fresh_argv
         for name in ("builtin/feasibility.txt", "builtin/feasibility.json",
                      "spec-file/feasibility.txt", "spec-file/feasibility.json",
-                     "mc/mc.csv", "sweep/sweep.csv"):
+                     "mc/mc.csv", "mc-workers-2/mc.csv", "sweep/sweep.csv"):
             assert ((tmp_path / "inproc" / name).read_bytes()
                     == (tmp_path / "fresh" / name).read_bytes()), name
 

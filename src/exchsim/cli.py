@@ -278,7 +278,7 @@ def _mc_config(args):
         sigma_t_s=args.sigma_t,
         distribution=args.distribution,
     )
-    dephasing = DephasingSpec(args.t2) if args.t2 is not None else None
+    dephasing = DephasingSpec(args.t2)
     return McConfig(
         n_samples=args.n,
         seed=args.seed,
@@ -388,7 +388,7 @@ def _add_mc_flags(sub):
                      help="relative amplitude noise (dimensionless)")
     sub.add_argument("--sigma-t", type=float, default=0.0, help="timing jitter in seconds")
     sub.add_argument("--distribution", choices=DISTRIBUTIONS, default="gaussian")
-    sub.add_argument("--t2", type=float, default=None,
+    sub.add_argument("--t2", type=float, default=math.inf,
                      help="dephasing time in seconds (omit for no dephasing)")
     sub.add_argument("--sensitivity", type=float, default=1.0,
                      help="logarithmic sensitivity of exchange to the control field")

@@ -17,7 +17,8 @@ Samples are drawn and scored as arrays in fixed blocks [k BLOCK, (k+1) BLOCK)
 of the sample index, each drawn by one noise.draw_errors_block call (which
 states the stream layout), so the blocks do not depend on the worker count.
 Each block is reduced where it is scored, and the block records are merged
-in block order, so results are bit-identical for any n_workers.
+in block order, so results are bit-identical for any n_workers.  One worker
+maps on the calling thread; more import concurrent.futures and start a pool.
 
 A sweep is one pass over the blocks, and its rows that share a draw key
 (seed, duration, effective noise) share the draws, so each row is
@@ -38,12 +39,10 @@ from .dephasing import DephasingSpec, flip_probability
 from .gates import PulseSpec, phase_from_pulse, pulse_for_target
 from .noise import _MAX_RADIUS, BLOCK, ControlNoiseSpec, draw_errors_block
 
-_NO_DEPHASING = DephasingSpec(math.inf)  # T2 = inf: flip probabilities exactly 0
-
 
 @dataclass(frozen=True)
 class McConfig:
-    """Inputs of one Monte Carlo run."""
+    """Inputs of one Monte Carlo run; a dephasing of None is stored as DephasingSpec(math.inf)."""
 
     n_samples: int
     seed: int
@@ -60,6 +59,8 @@ class McConfig:
         if int(self.seed) != self.seed or not (0 <= self.seed < 2**64):
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         object.__setattr__(self, "seed", int(self.seed))
+        if self.dephasing is None:
+            object.__setattr__(self, "dephasing", DephasingSpec(math.inf))
         if not (math.isfinite(self.sensitivity) and self.sensitivity >= 0.0):
             raise ValueError(f"sensitivity must be >= 0 and finite, got {self.sensitivity!r}")
         # Draws reach _MAX_RADIUS sigma, so the relative errors |a| and
@@ -94,13 +95,6 @@ class McResult:
     n_rejected: int
 
 
-def _flip_probabilities(duration_s, t2_s):
-    # flip_probability over arrays; T2 = inf gives the scalar p = 0, which
-    # broadcasts.  A ratio that overflows to inf gives the right limit p = 1/2.
-    with np.errstate(over="ignore"):
-        return 0.0 if t2_s == math.inf else -0.5 * np.expm1(duration_s / -t2_s)
-
-
 def _area_term(cfg, a, t):
     """sin^2(d/2) of the pulse-area error d of cfg's gate under the drawn errors a, t."""
     duration, theta0 = cfg.nominal.duration_s, phase_from_pulse(cfg.nominal)
@@ -112,13 +106,13 @@ def _area_term(cfg, a, t):
 
 def _score(cfg, t, area):
     """Infidelities of cfg's gate under the drawn timing errors t, given its _area_term."""
-    dephasing = cfg.dephasing or _NO_DEPHASING
-    if dephasing.t2_q1_s == dephasing.t2_q2_s == math.inf:
+    t2_q1, t2_q2 = cfg.dephasing.t2_q1_s, cfg.dephasing.t2_q2_s
+    if t2_q1 == t2_q2 == math.inf:
         return 0.75 * area  # p1 = p2 = 0, so the realized duration is not needed
     realized = cfg.nominal.duration_s + t
-    p1 = _flip_probabilities(realized, dephasing.t2_q1_s)
-    p2 = (p1 if dephasing.t2_q2_s == dephasing.t2_q1_s  # one array when the qubits share T2
-          else _flip_probabilities(realized, dephasing.t2_q2_s))
+    with np.errstate(over="ignore"):  # T / T2 overflowing to inf gives the limit p = 1/2
+        p1 = -0.5 * np.expm1(realized / -t2_q1)  # flip_probability over arrays (0 at T2 = inf)
+        p2 = p1 if t2_q2 == t2_q1 else -0.5 * np.expm1(realized / -t2_q2)  # one array if shared
     weight = 0.75 * (1.0 - p1) * (1.0 - p2) - 0.25 * p1 * p2
     return (p1 + p2 - p1 * p2) + area * weight
 
@@ -173,7 +167,6 @@ def _estimate(cfgs, n_workers):
         return records
 
     window = 16 * workers  # blocks in flight: a window is mapped once the last is merged
-    # One worker maps on the calling thread: no pool, nor concurrent.futures import.
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
@@ -212,9 +205,8 @@ def analytic_infidelity(cfg):
         # keeps finite, so the reference is finite or inf, never nan.
         amp, jitter = theta * amp, theta * jitter
         coherent = (3.0 / 16.0) * (offset * offset + amp * amp + jitter * jitter)
-    dephasing = cfg.dephasing or _NO_DEPHASING
-    p1 = flip_probability(cfg.nominal.duration_s, dephasing.t2_q1_s)
-    p2 = flip_probability(cfg.nominal.duration_s, dephasing.t2_q2_s)
+    p1 = flip_probability(cfg.nominal.duration_s, cfg.dephasing.t2_q1_s)
+    p2 = flip_probability(cfg.nominal.duration_s, cfg.dephasing.t2_q2_s)
     return coherent + (p1 + p2 - p1 * p2)
 
 

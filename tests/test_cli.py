@@ -491,6 +491,17 @@ class TestManifestParameters:
         assert set(mc["parameters"]["noise"]) == {"sigma_a", "sigma_t_s", "distribution"}
         assert sweep["parameters"] == {**expected, "axis": "epsilon", "values": [1e-5, 1e-4]}
 
+    def test_mc_without_t2_is_mc_with_infinite_t2(self, tmp_path, capsys):
+        argv = ["mc", "--sigma-a", "1e-3", "--sigma-t", "1e-12", "--n", "50", "--seed", "5"]
+        assert cli.main([*argv, "--out", str(tmp_path / "omitted")]) == 0
+        assert cli.main([*argv, "--t2", "inf", "--out", str(tmp_path / "inf")]) == 0
+        omitted, inf = (json.loads(read_bytes(tmp_path / name / "mc_manifest.json"))
+                        for name in ("omitted", "inf"))
+        assert omitted["parameters"] == inf["parameters"]
+        assert omitted["parameters"]["dephasing"] == {"t2_q1_s": "inf", "t2_q2_s": "inf"}
+        assert (read_bytes(tmp_path / "omitted" / "mc.csv")
+                == read_bytes(tmp_path / "inf" / "mc.csv"))
+
     @pytest.mark.parametrize("strict", [[], ["--strict-bandwidth"]])
     def test_feasibility_parameters_are_the_report_inputs(self, tmp_path, capsys, strict):
         out = tmp_path / "out"

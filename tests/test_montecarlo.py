@@ -121,6 +121,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="n_workers"):
             estimate_infidelity(make_config(n=10), n_workers=0)
 
+    def test_no_dephasing_is_stored_as_infinite_t2(self):
+        # Left out, None, or replaced by None: one record, T2 = inf on both qubits.
+        explicit = make_config(t2=math.inf)
+        omitted = McConfig(n_samples=explicit.n_samples, seed=explicit.seed,
+                           target_alpha=explicit.target_alpha, nominal=explicit.nominal,
+                           noise=explicit.noise)
+        for cfg in (omitted, make_config(t2=None), replace(make_config(t2=T2), dephasing=None)):
+            assert cfg.dephasing == dephasing.DephasingSpec(math.inf, math.inf)
+            assert cfg == explicit
+
 
 class TestEstimator:
     def test_zero_noise_exact_gate(self):
@@ -318,9 +328,14 @@ class TestSamplePathMatchesPublicOps:
              dephasing.DephasingSpec(math.inf, 7e-5), 1.0),
             (gates.pulse_for_target(0.5, 5e-9), 0.5, ControlNoiseSpec(1e-3, 2e-12),
              dephasing.DephasingSpec(5e-4, math.inf), 1.0),
+            # T / T2 overflows to inf for one qubit: p = 1/2 there, 0 on the other
+            (gates.pulse_for_target(0.5, 5e-9), 0.5, ControlNoiseSpec(1e-3, 2e-12),
+             dephasing.DephasingSpec(1e-320, math.inf), 1.0),
+            (gates.pulse_for_target(0.5, 5e-9), 0.5, ControlNoiseSpec(1e-3, 2e-12),
+             dephasing.DephasingSpec(math.inf, 1e-320), 1.0),
         ],
         ids=["profile", "uniform", "asymmetric-t2", "detuned", "sensitivity", "strong-noise",
-             "rejections", "q1-no-decay", "q2-no-decay"],
+             "rejections", "q1-no-decay", "q2-no-decay", "q1-subnormal-t2", "q2-subnormal-t2"],
     )
     def test_sample_value_equals_kraus_oracle(self, nominal, alpha, noise, spec, sensitivity):
         # An n = 1 estimate's mean is the value of sample 0 of its seed.
@@ -468,7 +483,7 @@ def parent_analytic_infidelity(cfg):
     offset = theta - math.pi * cfg.target_alpha
     rel_var = (cfg.sensitivity * cfg.noise.sigma_a) ** 2 + (
         cfg.noise.sigma_t_s / cfg.nominal.duration_s) ** 2
-    spec = cfg.dephasing or dephasing.DephasingSpec(math.inf)
+    spec = cfg.dephasing
     p1 = dephasing.flip_probability(cfg.nominal.duration_s, spec.t2_q1_s)
     p2 = dephasing.flip_probability(cfg.nominal.duration_s, spec.t2_q2_s)
     return (3.0 / 16.0) * (offset**2 + theta**2 * rel_var) + (p1 + p2 - p1 * p2)

@@ -107,10 +107,7 @@ def run(argv):
     with _fresh_directory() as tmp:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = cli.main(argv)
-            except SystemExit as exc:  # argparse's usage errors
-                code = exc.code
+            code = cli.main(argv)
         files, manifest = {}, None
         for path in sorted((tmp / "out").glob("*")):
             if path.name.endswith("_manifest.json"):

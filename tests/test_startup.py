@@ -58,7 +58,7 @@ SPEC_FILE = (
     "bw_low_hz = 0\nbw_high_hz = 1e12\n\n[threshold]\nepsilon = 1e-5\n"
 )
 
-# The standard-library modules the CLI imports only in the code that uses them.
+# The standard-library modules exchsim imports only in the code that uses them.
 WATCHED = ("concurrent.futures", "configparser", "csv", "json", "platform", "traceback")
 
 # Run in a fresh interpreter with a Python-literal list of argvs: after

@@ -1,10 +1,13 @@
 """The byte-identity corpus: CLI argv cases and the digests of what each one writes.
 
 Each case runs cli.main in process, from a fresh temporary working directory
-that holds SPEC_FILE as spec.ini, with a relative --out and EXCHSIM_CATALOG
-unset.  Its record is the exit code and the SHA-256 of stdout, stderr, each
-primary output, and the manifest's parameters and outputs (the rest of a
-manifest records the host and the wall time).  digests.json holds the records
+that holds SPEC_FILE as spec.ini, with a relative --out, EXCHSIM_CATALOG unset
+and COLUMNS=80 (argparse wraps help and usage text to the terminal width).
+Its record is the exit code (argparse's SystemExit status for help, version
+and usage errors) and the SHA-256 of stdout, stderr, each primary output, and
+the manifest's parameters and outputs (the rest of a manifest records the host
+and the wall time).  The help and usage texts are argparse's, so their digests
+hold for the Python version that wrote digests.json (3.11.7).  digests.json holds the records
 of every case; `python tests/golden/regen.py` rewrites it.  A rewrite is a
 named change of the outputs, never a way to make a refactor pass.
 """
@@ -38,6 +41,9 @@ AXIS_VALUES = {"sigma_a": "1e-4,1e-3,1e-2", "sigma_t": "1e-13,1e-12,1e-11",
                "t2": "5e-5,5e-4,inf", "target_alpha": "0.25,0.5,1.0",
                "epsilon": "1e-5,1e-4"}
 FEASIBILITY = ["feasibility", "--platform", "si-spin", "--out", "out"]
+CUSTOM_TECH = ["feasibility", "--sigma-a", "1e-6", "--sigma-t", "1e-13", "--bw-high", "1e11",
+               "--out", "out"]
+COMMANDS = ("feasibility", "gate", "mc", "sweep", "catalog")
 
 CASES = {
     "mc": ["mc", *MC, "--out", "out"],
@@ -68,8 +74,11 @@ CASES = {
     "feasibility-custom": ["feasibility", "--t2", "1e-3", "--sensitivity", "2",
                            "--sigma-a", "1e-5", "--sigma-t", "1e-14", "--bw-high", "1e10",
                            "--out", "out"],
+    **{f"feasibility-custom-epsilon-{epsilon}": [*CUSTOM_TECH, "--epsilon", epsilon]
+       for epsilon in ("1e-7", "1e-5", "1e-3")},
     "catalog": ["catalog"],
     "catalog-json": ["catalog", "--format", "json"],
+    "catalog-file": ["catalog", "--file", "spec.ini"],
     "gate-phase-error": ["gate", "--alpha", "0.5", "--phase-error", "1e-3"],
     "gate-dj-dt": ["gate", "--alpha", "0.25", "--dj", "1e-4", "--dt=-2e-5"],
     "bad-feasibility-inverted-band": ["feasibility", "--sigma-a", "1e-5", "--sigma-t", "1e-14",
@@ -80,6 +89,14 @@ CASES = {
     "bad-sweep-nan-value": ["sweep", *MC, "--axis", "sigma_a", "--values", "1e-3,nan",
                             "--out", "out"],
     "bad-catalog-missing-file": ["catalog", "--file", "missing.ini"],
+    "help": ["--help"],
+    **{f"help-{command}": [command, "--help"] for command in COMMANDS},
+    "version": ["--version"],
+    "usage-no-arguments": [],
+    "usage-unknown-command": ["bogus"],
+    "usage-mc-missing-value": ["mc", "--n"],
+    "usage-mc-unknown-flag": ["mc", "--bogus", "1"],
+    "usage-sweep-without-axis": ["sweep", "--values", "1e-3"],
 }
 
 
@@ -89,8 +106,11 @@ def _sha256(data):
 
 @contextlib.contextmanager
 def _fresh_directory():
-    """Work in a new temporary directory holding spec.ini, with EXCHSIM_CATALOG unset."""
-    cwd, catalog = os.getcwd(), os.environ.pop(cli.CATALOG_ENV_VAR, None)
+    """Work in a new temporary directory holding spec.ini, with EXCHSIM_CATALOG
+    unset and COLUMNS=80."""
+    cwd = os.getcwd()
+    saved = {name: os.environ.pop(name, None) for name in (cli.CATALOG_ENV_VAR, "COLUMNS")}
+    os.environ["COLUMNS"] = "80"
     with tempfile.TemporaryDirectory() as tmp:
         try:
             os.chdir(tmp)
@@ -98,8 +118,11 @@ def _fresh_directory():
             yield Path(tmp)
         finally:
             os.chdir(cwd)
-            if catalog is not None:
-                os.environ[cli.CATALOG_ENV_VAR] = catalog
+            for name, value in saved.items():
+                if value is None:
+                    os.environ.pop(name, None)
+                else:
+                    os.environ[name] = value
 
 
 def run(argv):
@@ -107,7 +130,10 @@ def run(argv):
     with _fresh_directory() as tmp:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(argv)
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse: help, version and usage errors
+                code = exc.code
         files, manifest = {}, None
         for path in sorted((tmp / "out").glob("*")):
             if path.name.endswith("_manifest.json"):

@@ -1,4 +1,5 @@
-"""Rewrite digests.json from the cases of cases.py, run against src/ of this checkout.
+"""Rewrite digests.json from the cases of cases.py, run against src/ of this checkout,
+and print which cases it added, removed or changed against the file it replaces.
 
     python tests/golden/regen.py
 """
@@ -11,6 +12,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "src"))
 
 import cases  # noqa: E402  (after src/ is on the path)
 
+old = json.loads(cases.DIGESTS.read_text(encoding="utf-8")) if cases.DIGESTS.exists() else {}
 records = {name: cases.run(argv) for name, argv in cases.CASES.items()}
 cases.DIGESTS.write_text(json.dumps(records, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 print(f"wrote {len(records)} records to {cases.DIGESTS}")
+for label, names in (("added", records.keys() - old.keys()),
+                     ("removed", old.keys() - records.keys()),
+                     ("changed", {n for n in records.keys() & old.keys() if records[n] != old[n]})):
+    for name in sorted(names):
+        print(f"{label}: {name}")

@@ -1,17 +1,17 @@
 """Command-line front end: feasibility reports, gate analysis, Monte Carlo runs.
 
-Subcommands: feasibility, gate, mc, sweep, catalog.  Verdicts are data, not
-exit codes: 0 means the analysis completed (feasible or not), 2 means bad
-input, 1 an internal failure.  Each output is written from the record that
-holds its data: CSV rows from McResults, feasibility.json from the resolved
-inputs and the FeasibilityReport, and a manifest's parameters from the
-McConfig (plus workers, and a sweep's axis and values) or those same inputs.
-With a fixed seed the primary output files are byte-identical across runs
-and worker counts; manifests are not.  Only gate, mc and sweep load numpy,
-when they run: the numpy-backed modules are imported inside their commands.
-Likewise json, csv, platform, traceback and configparser (in
-budget.load_specs) are imported only in the code that uses them, so
---version, --help and a text catalog load none of them.
+Subcommands: feasibility, gate, mc, sweep, catalog.  A call defines the flags
+of its own command only.  Verdicts are data, not exit codes: 0 means the
+analysis completed (feasible or not), 2 means bad input, 1 an internal failure.
+Each output is written from the record that holds its data: CSV rows from
+McResults, feasibility.json from the resolved inputs and the FeasibilityReport,
+and a manifest's parameters from the McConfig (plus workers, and a sweep's axis
+and values) or those same inputs.  With a fixed seed the primary output files
+are byte-identical across runs and worker counts; manifests are not.  Only
+gate, mc and sweep load numpy, when they run: the numpy-backed modules are
+imported inside their commands.  Likewise json, csv, platform, traceback and
+configparser (in budget.load_specs) are imported only in the code that uses
+them, so --version, --help and a text catalog load none of them.
 """
 
 import argparse
@@ -399,15 +399,7 @@ def _add_mc_flags(sub):
     sub.add_argument("--out", default=DEFAULT_OUT_DIR, help="output directory")
 
 
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="exchsim",
-        description="Exchange-gate noise budgets, feasibility verdicts, and Monte Carlo checks.",
-    )
-    parser.add_argument("--version", action="version", version=f"exchsim {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("feasibility", help="evaluate a technology against the error budget")
+def _add_feasibility_flags(p):
     p.add_argument("--platform", help="builtin platform name (e.g. si-spin)")
     p.add_argument("--t2", type=float, help="platform T2 in seconds (with --sensitivity)")
     p.add_argument("--sensitivity", type=float, help="platform sensitivity (with --t2)")
@@ -422,36 +414,59 @@ def _build_parser():
     p.add_argument("--strict-bandwidth", action="store_true",
                    help="let the bandwidth requirement gate feasibility")
     p.add_argument("--out", default=DEFAULT_OUT_DIR, help="output directory")
-    p.set_defaults(func=cmd_feasibility)
 
-    p = sub.add_parser("gate", help="closed-form error of one fractional-SWAP gate")
+
+def _add_gate_flags(p):
     p.add_argument("--alpha", type=float, required=True, help="SWAP exponent")
     p.add_argument("--phase-error", type=float, help="pulse-area error in radians")
     p.add_argument("--dj", type=float, help="relative exchange-strength error")
     p.add_argument("--dt", type=float, help="relative duration error (with --dj)")
-    p.set_defaults(func=cmd_gate)
 
-    p = sub.add_parser("mc", help="Monte Carlo infidelity estimate")
-    _add_mc_flags(p)
-    p.set_defaults(func=cmd_mc)
 
-    p = sub.add_parser("sweep", help="Monte Carlo estimates along one parameter axis")
+def _add_sweep_flags(p):
     _add_mc_flags(p)
     p.add_argument("--axis", required=True,
                    help=f"sweep axis, one of {', '.join(SWEEP_AXES)}")
     p.add_argument("--values", required=True, help="comma-separated axis values")
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("catalog", help="list control technologies")
+
+def _add_catalog_flags(p):
     p.add_argument("--file", help="INI spec file with extra technology entries")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_catalog)
 
+
+# command -> (help, the function that adds its flags, its handler), in help order
+COMMANDS = {
+    "feasibility": ("evaluate a technology against the error budget",
+                    _add_feasibility_flags, cmd_feasibility),
+    "gate": ("closed-form error of one fractional-SWAP gate", _add_gate_flags, cmd_gate),
+    "mc": ("Monte Carlo infidelity estimate", _add_mc_flags, cmd_mc),
+    "sweep": ("Monte Carlo estimates along one parameter axis", _add_sweep_flags, cmd_sweep),
+    "catalog": ("list control technologies", _add_catalog_flags, cmd_catalog),
+}
+
+
+def _build_parser(command=None):
+    """The exchsim parser with every subcommand, but the flags of `command` only."""
+    parser = argparse.ArgumentParser(
+        prog="exchsim",
+        description="Exchange-gate noise budgets, feasibility verdicts, and Monte Carlo checks.",
+    )
+    parser.add_argument("--version", action="version", version=f"exchsim {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_flags, func) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name == command:
+            add_flags(p)
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # -h and --version take no value, so argparse reads the first non-option as the command
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    args = _build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, RejectedSampleError) as exc:

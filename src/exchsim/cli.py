@@ -18,6 +18,7 @@ import argparse
 import io
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import asdict
@@ -29,6 +30,9 @@ from .noise import RNG_SCHEME, ControlNoiseSpec, DISTRIBUTIONS, RejectedSampleEr
 CATALOG_ENV_VAR = "EXCHSIM_CATALOG"
 DEFAULT_EPSILON = 1e-5
 DEFAULT_OUT_DIR = "exchsim_out"
+# argparse's negative-number pattern (^-\d+$|^-\d*\.\d+$) plus an exponent, so that
+# "--dt -2e-5" reads -2e-5 as the value of --dt, as "--dt=-2e-5" does, not as an option
+_NEGATIVE_NUMBER = re.compile(r"^-\d*\.?\d+([eE][-+]?\d+)?$")
 # what feasibility reads without --spec-file: load_specs("") without the INI parser
 _NO_SPEC_FILE = budget.LoadedSpecs(platform=None, technologies=(), threshold=None)
 
@@ -459,6 +463,7 @@ def _build_parser(command=None):
         if name == command:
             add_flags(p)
             p.set_defaults(func=func)
+            p._negative_number_matcher = _NEGATIVE_NUMBER  # argparse 3.10-3.13 keep it here
     return parser
 
 

@@ -81,10 +81,12 @@ CASES = {
     "catalog-file": ["catalog", "--file", "spec.ini"],
     "gate-phase-error": ["gate", "--alpha", "0.5", "--phase-error", "1e-3"],
     "gate-dj-dt": ["gate", "--alpha", "0.25", "--dj", "1e-4", "--dt=-2e-5"],
+    "gate-dj-dt-separated": ["gate", "--alpha", "0.25", "--dj", "1e-4", "--dt", "-2e-5"],
     "bad-feasibility-inverted-band": ["feasibility", "--sigma-a", "1e-5", "--sigma-t", "1e-14",
                                       "--bw-low", "2e9", "--bw-high", "1e9", "--out", "out"],
     "bad-gate-two-errors": ["gate", "--alpha", "0.5", "--phase-error", "1e-3", "--dj", "1e-4"],
     "bad-mc-overflowing-noise": ["mc", *MC, "--sigma-a", "1e154", "--out", "out"],
+    "bad-mc-negative-sigma-a-separated": ["mc", *MC, "--sigma-a", "-1e-3", "--out", "out"],
     "bad-mc-t2-and-duration": ["mc", *MC, "--t2", "0", "--duration", "0", "--out", "out"],
     "bad-sweep-nan-value": ["sweep", *MC, "--axis", "sigma_a", "--values", "1e-3,nan",
                             "--out", "out"],

@@ -8,6 +8,7 @@ import os
 import platform
 import random
 import re
+import shutil
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -760,6 +761,38 @@ def test_numeric_flag_exits_0_or_2_without_traceback_or_nan_output(tmp_path, cap
                 assert not any(has_nan(row) for row in csv.reader(fh)), argv
         for path in out.glob("*.json"):
             assert not has_nan(json.loads(read_bytes(path))), argv
+
+
+NEGATIVE_EXPONENTS = ["-2e-5", "-1.5E+3", "-.5e300"]
+
+
+@pytest.mark.parametrize("command, flag", [pytest.param(command, flag, id=f"{command} {flag}")
+                                           for command, (_, flags) in FUZZ_BASES.items()
+                                           for flag in flags])
+def test_negative_exponent_value_reads_as_in_the_equals_form(tmp_path, capsys, command, flag):
+    """`--flag -2e-5` gives the exit code, stdout, stderr and files of `--flag=-2e-5`:
+    argparse's own negative-number pattern has no exponent, so it read -2e-5 as an
+    option and failed with "expected one argument"."""
+    base, _ = FUZZ_BASES[command]
+    out = tmp_path / "out"
+    for value in NEGATIVE_EXPONENTS:
+        options = {**base, flag: value}
+        if flag == "--phase-error":
+            del options["--dj"]  # the two error inputs exclude each other
+        if command != "gate":
+            options["--out"] = str(out)
+        seen = []
+        for argv in ([command] + [f"{name}={v}" for name, v in options.items()],
+                     [command] + [arg for item in options.items() for arg in item]):
+            shutil.rmtree(out, ignore_errors=True)
+            try:
+                rc = cli.main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                rc = exc.code
+            files = {path.name: read_bytes(path) for path in sorted(out.glob("*"))
+                     if not path.name.endswith("_manifest.json")}
+            seen.append((rc, capsys.readouterr(), files))
+        assert seen[0] == seen[1], argv
 
 
 @pytest.mark.parametrize("argv", ALPHA_COMMANDS, ids=" ".join)

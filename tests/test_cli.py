@@ -1,5 +1,7 @@
 """Tests for the command-line interface: exit codes, outputs, determinism."""
 
+import argparse
+import contextlib
 import csv
 import itertools
 import json
@@ -602,6 +604,71 @@ class TestOutputRewrite:
         assert err.startswith("error:") and str(out / name) in err
         assert "Traceback" not in err
         assert after == before  # no descriptor left open
+
+
+class TestParser:
+    def test_every_top_level_option_takes_no_value(self):
+        """main takes the first argument without a leading "-" for the command,
+        which argparse reads as the command only while no top-level option
+        consumes the argument after it."""
+        options = [action for action in cli._build_parser()._actions if action.option_strings]
+        assert options
+        assert all(action.nargs == 0 for action in options), [
+            (action.option_strings, action.nargs) for action in options]
+
+    @pytest.mark.parametrize("command", [None, "bogus", *cli.COMMANDS])
+    def test_a_parser_defines_the_flags_and_handler_of_its_command_only(self, command):
+        subparsers = next(action for action in cli._build_parser(command)._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        assert list(subparsers.choices) == list(cli.COMMANDS)
+        for name, parser in subparsers.choices.items():
+            flags = {option for action in parser._actions for option in action.option_strings}
+            assert (flags != {"-h", "--help"}) == (name == command), name
+            assert parser.get_default("func") == (cli.COMMANDS[name][2] if name == command
+                                                  else None), name
+
+    @pytest.mark.parametrize("argv, command", [
+        (["--version"], None), ([], None), (["-x", "mc"], "mc"), (["--", "mc"], "mc"),
+        (["gate", "--alpha", "-2e-5"], "gate"), (["feasibility", "--tech", "mc"], "feasibility")])
+    def test_the_command_main_builds_for_is_the_one_argparse_reads(self, argv, command, capsys,
+                                                                    monkeypatch):
+        built = []
+        build = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda name: built.append(name) or build(name))
+        monkeypatch.setattr(cli, "COMMANDS", {name: (help_text, add_flags, lambda args: 0)
+                                              for name, (help_text, add_flags, _)
+                                              in cli.COMMANDS.items()})
+        with contextlib.suppress(SystemExit):
+            cli.main(argv)
+        capsys.readouterr()
+        assert built == [command]
+
+    @pytest.mark.parametrize("order", [("feasibility", "mc"), ("mc", "feasibility")])
+    def test_consecutive_calls_equal_each_call_alone(self, tmp_path, capsys, monkeypatch, order):
+        argvs = {"feasibility": ["feasibility", "--platform", "si-spin", "--tech",
+                                 "electrical-pulse-generator", "--out", "out"],
+                 "mc": ["mc", "--sigma-a", "1e-3", "--sigma-t", "1e-12", "--t2", "5e-4",
+                        "--n", "300", "--seed", "4", "--out", "out"]}
+
+        def run(command):
+            rc = cli.main(argvs[command])
+            captured = capsys.readouterr()
+            return rc, captured.out, captured.err
+
+        def outputs():
+            return {path.name: read_bytes(path) for path in sorted((tmp_path / "out").glob("*"))
+                    if not path.name.endswith("_manifest.json")}
+
+        monkeypatch.chdir(tmp_path)
+        alone, alone_files = {}, {}
+        for command in order:
+            shutil.rmtree(tmp_path / "out", ignore_errors=True)
+            alone[command] = run(command)
+            alone_files.update(outputs())
+        shutil.rmtree(tmp_path / "out")
+        assert {command: run(command) for command in order} == alone
+        assert outputs() == alone_files
+        assert all(rc == 0 for rc, _, _ in alone.values())
 
 
 class TestCatalogCommand:

@@ -429,8 +429,7 @@ def _add_gate_flags(p):
 
 def _add_sweep_flags(p):
     _add_mc_flags(p)
-    p.add_argument("--axis", required=True,
-                   help=f"sweep axis, one of {', '.join(SWEEP_AXES)}")
+    p.add_argument("--axis", required=True, help=f"sweep axis, one of {', '.join(SWEEP_AXES)}")
     p.add_argument("--values", required=True, help="comma-separated axis values")
 
 

@@ -7,9 +7,9 @@ Its record is the exit code (argparse's SystemExit status for help, version
 and usage errors) and the SHA-256 of stdout, stderr, each primary output, and
 the manifest's parameters and outputs (the rest of a manifest records the host
 and the wall time).  The help and usage texts are argparse's, so their digests
-hold for the Python version that wrote digests.json (3.11.7).  digests.json holds the records
-of every case; `python tests/golden/regen.py` rewrites it.  A rewrite is a
-named change of the outputs, never a way to make a refactor pass.
+hold for the Python version that wrote digests.json (3.11.7).  digests.json
+holds the records of every case; `python tests/golden/regen.py` rewrites it.  A
+rewrite is a named change of the outputs, never a way to make a refactor pass.
 """
 
 import contextlib
@@ -20,6 +20,7 @@ import os
 import shlex
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 from exchsim import cli
 from exchsim.noise import BLOCK
@@ -111,20 +112,14 @@ def _fresh_directory():
     """Work in a new temporary directory holding spec.ini, with EXCHSIM_CATALOG
     unset and COLUMNS=80."""
     cwd = os.getcwd()
-    saved = {name: os.environ.pop(name, None) for name in (cli.CATALOG_ENV_VAR, "COLUMNS")}
-    os.environ["COLUMNS"] = "80"
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        os.environ.pop(cli.CATALOG_ENV_VAR, None)
         try:
             os.chdir(tmp)
             Path("spec.ini").write_text(SPEC_FILE, encoding="utf-8")
             yield Path(tmp)
         finally:
             os.chdir(cwd)
-            for name, value in saved.items():
-                if value is None:
-                    os.environ.pop(name, None)
-                else:
-                    os.environ[name] = value
 
 
 def run(argv):

@@ -92,6 +92,22 @@ CASES = {
     "bad-sweep-nan-value": ["sweep", *MC, "--axis", "sigma_a", "--values", "1e-3,nan",
                             "--out", "out"],
     "bad-catalog-missing-file": ["catalog", "--file", "missing.ini"],
+    "bad-feasibility-nan-band": ["feasibility", "--sigma-a", "0", "--sigma-t", "0",
+                                 "--bw-high", "nan", "--out", "out"],
+    "bad-feasibility-platform-and-t2": [*FEASIBILITY, "--t2", "1e-3", "--sensitivity", "2"],
+    "bad-feasibility-tech-and-sigma": ["feasibility", "--tech", "electrical-pulse-generator",
+                                       "--sigma-a", "1e-6", "--sigma-t", "1e-14", "--out", "out"],
+    "bad-feasibility-tech-and-band": ["feasibility", "--tech", "electrical-pulse-generator",
+                                      "--bw-high", "1e9", "--out", "out"],
+    "bad-mc-overflowing-alpha": ["mc", "--alpha", "1e160", "--duration", "1", "--n", "10",
+                                 "--out", "out"],
+    "bad-mc-negative-alpha": ["mc", "--alpha=-0.5", "--n", "10", "--out", "out"],
+    "bad-sweep-no-values": ["sweep", *MC, "--axis", "sigma_a", "--values", ",", "--out", "out"],
+    "mc-analytic-underflow": ["mc", "--duration", "1e30", "--sigma-t", "1e300", "--alpha", "1e-300",
+                              "--n", "20", "--out", "out"],
+    "feasibility-decoherence-ceiling-underflow": ["feasibility", "--t2", "1e-320", "--sensitivity",
+                                                  "1", "--sigma-a", "1e-4", "--sigma-t", "1e-12",
+                                                  "--out", "out"],
     "help": ["--help"],
     **{f"help-{command}": [command, "--help"] for command in COMMANDS},
     "version": ["--version"],

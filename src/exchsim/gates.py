@@ -6,9 +6,11 @@ area.  theta = pi*alpha realizes SWAP^alpha up to a global phase, so the whole
 gate family is controlled by the single product of exchange strength and
 duration.
 
-Unit convention: pulse strength is the exchange angular frequency in rad/s
-(energy divided by hbar); durations are seconds.  theta = (J/hbar) * T / 2 for
-a constant pulse.
+A pulse is a strength and a duration: J, the exchange angular frequency in
+rad/s (energy divided by hbar), held for T seconds, so theta = J T / 2.  The
+generator s1.s2 commutes with itself at all times, so a shaped pulse J(t)
+gives the gate of any pulse with its area: profile_pulse reduces sampled J(t)
+to the constant pulse with its trapezoid-rule area and its duration.
 """
 
 import math
@@ -34,39 +36,18 @@ def _checked_duration(duration_s):
 
 @dataclass(frozen=True)
 class PulseSpec:
-    """One exchange pulse: constant strength over a duration, or a sampled profile.
+    """One exchange pulse: a constant exchange angular frequency j_rad_per_s
+    (>= 0 and finite) held for duration_s (> 0 and finite)."""
 
-    Exactly one of `j_rad_per_s` (constant exchange angular frequency) and
-    `profile` (strictly increasing (time_s, j_rad_per_s) samples spanning
-    [0, duration_s]) must be given.
-    """
-
-    j_rad_per_s: float | None
+    j_rad_per_s: float
     duration_s: float
-    profile: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):
-        t = _checked_duration(self.duration_s)
-        object.__setattr__(self, "duration_s", t)
-        if (self.j_rad_per_s is None) == (self.profile is None):
-            raise ValueError("exactly one of j_rad_per_s and profile must be set")
-        if self.j_rad_per_s is not None:
-            j = float(self.j_rad_per_s)
-            if not (math.isfinite(j) and j >= 0.0):
-                raise ValueError(f"exchange strength must be >= 0 and finite, got {j!r}")
-            object.__setattr__(self, "j_rad_per_s", j)
-            return
-        samples = tuple((float(ti), float(ji)) for ti, ji in self.profile)
-        if len(samples) < 2:
-            raise ValueError("profile needs at least two (time, strength) samples")
-        times = [ti for ti, _ in samples]
-        if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
-            raise ValueError("profile sample times must be strictly increasing")
-        if times[0] != 0.0 or abs(times[-1] - t) > 1e-12 * t:
-            raise ValueError("profile must span [0, duration_s]")
-        if any(not (math.isfinite(ji) and ji >= 0.0) for _, ji in samples):
-            raise ValueError("profile strengths must be >= 0 and finite")
-        object.__setattr__(self, "profile", samples)
+        object.__setattr__(self, "duration_s", _checked_duration(self.duration_s))
+        j = float(self.j_rad_per_s)
+        if not (math.isfinite(j) and j >= 0.0):
+            raise ValueError(f"exchange strength must be >= 0 and finite, got {j!r}")
+        object.__setattr__(self, "j_rad_per_s", j)
 
 
 def constant_pulse(j_rad_per_s, duration_s):
@@ -74,11 +55,24 @@ def constant_pulse(j_rad_per_s, duration_s):
 
 
 def profile_pulse(samples):
-    """PulseSpec from (time_s, j_rad_per_s) samples; duration is the last time."""
-    samples = tuple(samples)
-    if not samples:
+    """The constant pulse with the duration and trapezoid-rule area of sampled J(t).
+
+    samples are (time_s, j_rad_per_s) pairs: at least two, with times
+    strictly increasing from 0 and strengths >= 0 and finite.  The duration
+    T is the last time and the strength is the area divided by T.
+    """
+    samples = tuple((float(ti), float(ji)) for ti, ji in samples)
+    if len(samples) < 2:
         raise ValueError("profile needs at least two (time, strength) samples")
-    return PulseSpec(j_rad_per_s=None, duration_s=samples[-1][0], profile=samples)
+    times, values = (np.array(column) for column in zip(*samples))
+    if not np.all(np.diff(times) > 0.0):
+        raise ValueError("profile sample times must be strictly increasing")
+    if times[0] != 0.0:
+        raise ValueError("profile must start at time 0")
+    if not np.all(np.isfinite(values) & (values >= 0.0)):
+        raise ValueError("profile strengths must be >= 0 and finite")
+    duration = _checked_duration(times[-1])
+    return constant_pulse(float(np.trapezoid(values, times)) / duration, duration)
 
 
 def _checked_alpha(alpha):
@@ -101,17 +95,8 @@ def pulse_for_target(alpha, duration_s):
 
 
 def phase_from_pulse(pulse):
-    """Dimensionless pulse area theta = integral of J(t) dt / 2 (J in rad/s).
-
-    Constant pulses integrate exactly; profiles use the trapezoidal rule on
-    the caller's samples (only the area matters, the generator commutes with
-    itself at all times).
-    """
-    if pulse.j_rad_per_s is not None:
-        return pulse.j_rad_per_s * pulse.duration_s / 2.0
-    times = np.array([ti for ti, _ in pulse.profile])
-    values = np.array([ji for _, ji in pulse.profile])
-    return float(np.trapezoid(values, times)) / 2.0
+    """Dimensionless pulse area theta = J T / 2 (J in rad/s, T in s)."""
+    return pulse.j_rad_per_s * pulse.duration_s / 2.0
 
 
 def exchange_unitary(theta):

@@ -77,7 +77,7 @@ class McConfig:
         name = max(sigmas, key=sigmas.get)
         x_a, x_s = (_MAX_RADIUS * sigma for sigma in sigmas.values())
         x = max(x_a, x_s)
-        theta0 = abs(phase_from_pulse(self.nominal))
+        theta0 = phase_from_pulse(self.nominal)
         if not (math.isfinite(x_a + x_s + x_a * x_s)
                 and math.isfinite(theta0 * x * (2.0 + x) + duration * (1.0 + x))):
             raise ValueError(f"{name} = {sigmas[name]!r} is too large: the errors of a "
@@ -98,7 +98,7 @@ class McResult:
 def _area_term(cfg, a, t):
     """sin^2(d/2) of the pulse-area error d of cfg's gate under the drawn errors a, t."""
     duration, theta0 = cfg.nominal.duration_s, phase_from_pulse(cfg.nominal)
-    # The realized area is theta0 (1+a)(1+s) for constant and profile pulses alike.
+    # The realized area is theta0 (1+a)(1+s).
     s = t / duration
     d = theta0 * (a + s + a * s) + (theta0 - math.pi * cfg.target_alpha)
     return np.sin(0.5 * d) ** 2

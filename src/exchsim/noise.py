@@ -160,17 +160,10 @@ def sample_pulse(rng, nominal, noise):
 
 
 def realized_pulse(nominal, amp, shift):
-    """The pulse realized under errors (a, t): strengths times 1+a, duration T+t."""
-    from .gates import constant_pulse, profile_pulse
+    """The pulse realized under errors (a, t): strength J (1+a), duration T+t."""
+    from .gates import constant_pulse
 
-    amp_factor = 1.0 + amp
-    duration = nominal.duration_s + shift
-    if nominal.j_rad_per_s is not None:
-        return constant_pulse(nominal.j_rad_per_s * amp_factor, duration)
-    # Profiles: scale strengths by the amplitude factor, stretch the time
-    # axis so the noisy duration keeps the pulse shape.
-    stretch = duration / nominal.duration_s
-    return profile_pulse(tuple((ti * stretch, ji * amp_factor) for ti, ji in nominal.profile))
+    return constant_pulse(nominal.j_rad_per_s * (1.0 + amp), nominal.duration_s + shift)
 
 
 def integrated_snr(sigma_rel):

@@ -1,4 +1,4 @@
-"""Tests that the README's module map and spec-file example match the code."""
+"""Tests that the README's module map, spec-file example and manifest schema match the code."""
 
 import configparser
 import importlib
@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import exchsim
-from exchsim import budget
+from exchsim import budget, dephasing, gates, montecarlo, noise
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -60,3 +60,12 @@ def test_readme_spec_file_loads_and_names_every_key():
                                         ("technology", budget.TechnologySpec),
                                         ("threshold", budget.Threshold))}
     assert {name: set(parser[name]) for name in parser.sections()} == accepted
+
+
+def test_readme_manifest_paragraph_names_every_parameter_field():
+    text = README.read_text(encoding="utf-8")
+    paragraph = text.split("\nA manifest's `parameters`", 1)[1].split("\n\n", 1)[0]
+    named = set(re.findall(r"`([^`]+)`", paragraph))
+    records = (montecarlo.McConfig, gates.PulseSpec, noise.ControlNoiseSpec,
+               dephasing.DephasingSpec)
+    assert {field.name for record in records for field in fields(record)} - named == set()

@@ -1,6 +1,7 @@
 """Tests for exchange-pulse unitaries and the closed-form gate error."""
 
 import math
+from dataclasses import astuple
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,7 @@ from helpers import expm_series
 class TestPulseSpec:
     def test_constant_pulse(self):
         p = gates.constant_pulse(2e9, 1e-9)
-        assert p.j_rad_per_s == 2e9 and p.duration_s == 1e-9 and p.profile is None
+        assert astuple(p) == (2e9, 1e-9)  # a strength and a duration, nothing more
 
     def test_rejects_nonpositive_duration(self):
         with pytest.raises(ValueError, match="duration"):
@@ -23,22 +24,37 @@ class TestPulseSpec:
         with pytest.raises(ValueError, match="strength"):
             gates.constant_pulse(-1e9, 1e-9)
 
-    def test_rejects_both_forms(self):
-        with pytest.raises(ValueError, match="exactly one"):
+    def test_takes_no_profile(self):
+        with pytest.raises(TypeError, match="profile"):
             gates.PulseSpec(j_rad_per_s=1e9, duration_s=1e-9, profile=((0.0, 1e9), (1e-9, 1e9)))
 
     def test_rejects_empty_profile(self):
         with pytest.raises(ValueError):
             gates.profile_pulse(())
 
-    def test_rejects_non_monotone_profile_times(self):
+    @pytest.mark.parametrize("times", [(0.0, 2e-9, 1e-9, 3e-9), (0.0, math.nan, 1e-9, 3e-9)],
+                             ids=["decreasing", "nan"])
+    def test_rejects_non_monotone_profile_times(self, times):
         with pytest.raises(ValueError, match="strictly increasing"):
-            gates.profile_pulse(((0.0, 1e9), (2e-9, 1e9), (1e-9, 1e9), (3e-9, 1e9)))
+            gates.profile_pulse(tuple((t, 1e9) for t in times))
 
     def test_rejects_profile_not_starting_at_zero(self):
-        with pytest.raises(ValueError, match="span"):
-            gates.PulseSpec(j_rad_per_s=None, duration_s=2e-9,
-                            profile=((1e-9, 1e9), (2e-9, 1e9)))
+        with pytest.raises(ValueError, match="start at time 0"):
+            gates.profile_pulse(((1e-9, 1e9), (2e-9, 1e9)))
+
+    @pytest.mark.parametrize("strength", [-1e9, math.inf, math.nan])
+    def test_rejects_bad_profile_strengths(self, strength):
+        with pytest.raises(ValueError, match="strengths"):
+            gates.profile_pulse(((0.0, 1e9), (1e-9, strength)))
+
+    def test_rejects_infinite_profile_duration(self):
+        with pytest.raises(ValueError, match="duration"):
+            gates.profile_pulse(((0.0, 1e9), (math.inf, 1e9)))
+
+    def test_profile_whose_area_overflows_names_the_strength(self):
+        # numpy warns that the trapezoid sum overflows; the pulse then refuses J = inf
+        with pytest.raises(ValueError, match="exchange strength"), np.errstate(over="ignore"):
+            gates.profile_pulse(((0.0, 1.5e308), (1.0, 1.5e308)))
 
 
 class TestPhaseFromPulse:
@@ -62,6 +78,26 @@ class TestPhaseFromPulse:
         w, t = 3e9, 2e-9
         prof = gates.profile_pulse(((0.0, 0.0), (t / 2, 2 * w), (t, 0.0)))
         assert gates.phase_from_pulse(prof) == pytest.approx(w * t / 2, rel=1e-12)
+
+
+class TestProfilePulse:
+    @staticmethod
+    def triangle():
+        return np.array([0.0, 1e-9, 2e-9]), np.array([0.0, 6e9, 0.0])
+
+    @staticmethod
+    def random_profile():
+        rng = np.random.default_rng(23)
+        times = np.concatenate(([0.0], np.cumsum(rng.uniform(1e-12, 1e-11, 399))))
+        return times, rng.uniform(0.0, 5e9, 400)
+
+    @pytest.mark.parametrize("profile", ["triangle", "random_profile"])
+    def test_is_the_constant_pulse_with_the_trapezoid_area(self, profile):
+        times, values = getattr(self, profile)()
+        pulse = gates.profile_pulse(zip(times, values))
+        assert pulse.duration_s == times[-1]
+        assert gates.phase_from_pulse(pulse) == pytest.approx(
+            np.trapezoid(values, times) / 2.0, rel=1e-15, abs=0.0)
 
 
 class TestExchangeUnitary:

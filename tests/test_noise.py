@@ -44,16 +44,14 @@ class TestSamplePulse:
         b = noise.sample_pulse(_rng(42), NOMINAL, spec)
         assert a == b
 
-    def test_profile_pulse_scales_amplitude_and_stretches_time(self):
+    @pytest.mark.parametrize("amp, shift", [(5e-2, 2e-10), (-0.3, -4e-10), (0.0, 1e-12)])
+    def test_realized_profile_pulse_scales_area_and_duration(self, amp, shift):
         prof = gates.profile_pulse(((0.0, 1e9), (0.5e-9, 2e9), (1e-9, 1e9)))
-        spec = noise.ControlNoiseSpec(sigma_a=5e-2, sigma_t_s=2e-10)
-        sampled = noise.sample_pulse(_rng(3), prof, spec)
-        assert sampled.profile is not None
-        stretch = sampled.duration_s / prof.duration_s
-        amp = sampled.profile[0][1] / prof.profile[0][1]
-        for (t0, j0), (t1, j1) in zip(prof.profile, sampled.profile):
-            assert t1 == pytest.approx(t0 * stretch, rel=1e-12)
-            assert j1 == pytest.approx(j0 * amp, rel=1e-12)
+        theta0, duration = gates.phase_from_pulse(prof), prof.duration_s
+        realized = noise.realized_pulse(prof, amp, shift)
+        assert realized.duration_s == duration + shift
+        assert gates.phase_from_pulse(realized) == pytest.approx(
+            theta0 * (1.0 + amp) * (1.0 + shift / duration), rel=1e-15, abs=0.0)
 
     def test_resample_exhaustion_raises(self, monkeypatch):
         spec = noise.ControlNoiseSpec(sigma_a=0.0, sigma_t_s=NOMINAL.duration_s)

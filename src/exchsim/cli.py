@@ -30,9 +30,10 @@ from .noise import RNG_SCHEME, ControlNoiseSpec, DISTRIBUTIONS, RejectedSampleEr
 CATALOG_ENV_VAR = "EXCHSIM_CATALOG"
 DEFAULT_EPSILON = 1e-5
 DEFAULT_OUT_DIR = "exchsim_out"
-# argparse's negative-number pattern (^-\d+$|^-\d*\.\d+$) plus an exponent, so that
-# "--dt -2e-5" reads -2e-5 as the value of --dt, as "--dt=-2e-5" does, not as an option
-_NEGATIVE_NUMBER = re.compile(r"^-\d*\.?\d+([eE][-+]?\d+)?$")
+# argparse's negative-number pattern (^-\d+$|^-\d*\.\d+$) plus an exponent and the
+# non-finite spellings float() reads, so that "--dt -2e-5" and "--t2 -inf" read the
+# number as the flag's value, as "--dt=-2e-5" and "--t2=-inf" do, not as an option
+_NEGATIVE_NUMBER = re.compile(r"^-(\d*\.?\d+([eE][-+]?\d+)?|(?i:inf|infinity|nan))$")
 # what feasibility reads without --spec-file: load_specs("") without the INI parser
 _NO_SPEC_FILE = budget.LoadedSpecs(platform=None, technologies=(), threshold=None)
 

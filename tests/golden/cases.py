@@ -88,6 +88,8 @@ CASES = {
     "bad-gate-two-errors": ["gate", "--alpha", "0.5", "--phase-error", "1e-3", "--dj", "1e-4"],
     "bad-mc-overflowing-noise": ["mc", *MC, "--sigma-a", "1e154", "--out", "out"],
     "bad-mc-negative-sigma-a-separated": ["mc", *MC, "--sigma-a", "-1e-3", "--out", "out"],
+    "bad-mc-t2-minus-inf-separated": ["mc", *MC, "--t2", "-inf", "--out", "out"],
+    "bad-gate-phase-error-minus-inf-separated": ["gate", "--alpha", "0.5", "--phase-error", "-inf"],
     "bad-mc-t2-and-duration": ["mc", *MC, "--t2", "0", "--duration", "0", "--out", "out"],
     "bad-sweep-nan-value": ["sweep", *MC, "--axis", "sigma_a", "--values", "1e-3,nan",
                             "--out", "out"],

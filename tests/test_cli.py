@@ -830,19 +830,20 @@ def test_numeric_flag_exits_0_or_2_without_traceback_or_nan_output(tmp_path, cap
             assert not has_nan(json.loads(read_bytes(path))), argv
 
 
-NEGATIVE_EXPONENTS = ["-2e-5", "-1.5E+3", "-.5e300"]
+NEGATIVE_VALUES = ["-2e-5", "-1.5E+3", "-.5e300", "-inf", "-Infinity", "-nan"]
 
 
 @pytest.mark.parametrize("command, flag", [pytest.param(command, flag, id=f"{command} {flag}")
                                            for command, (_, flags) in FUZZ_BASES.items()
                                            for flag in flags])
 def test_negative_exponent_value_reads_as_in_the_equals_form(tmp_path, capsys, command, flag):
-    """`--flag -2e-5` gives the exit code, stdout, stderr and files of `--flag=-2e-5`:
-    argparse's own negative-number pattern has no exponent, so it read -2e-5 as an
-    option and failed with "expected one argument"."""
+    """`--flag -2e-5` gives the exit code, stdout, stderr and files of `--flag=-2e-5`,
+    and likewise -inf, -Infinity and -nan: argparse's own negative-number pattern has neither an
+    exponent nor inf and nan, so it read them as options and failed with "expected one
+    argument"."""
     base, _ = FUZZ_BASES[command]
     out = tmp_path / "out"
-    for value in NEGATIVE_EXPONENTS:
+    for value in NEGATIVE_VALUES:
         options = {**base, flag: value}
         if flag == "--phase-error":
             del options["--dj"]  # the two error inputs exclude each other

@@ -118,6 +118,10 @@ CASES = {
     "usage-mc-missing-value": ["mc", "--n"],
     "usage-mc-unknown-flag": ["mc", "--bogus", "1"],
     "usage-sweep-without-axis": ["sweep", "--values", "1e-3"],
+    "help-mc-short": ["mc", "-h"],
+    "help-before-command": ["-h", "mc"],
+    "usage-unknown-flag-before-command": ["--bogus", "mc"],
+    "usage-mc-extra-argument": ["mc", "extra"],
 }
 
 

@@ -37,7 +37,8 @@ def _checked_duration(duration_s):
 @dataclass(frozen=True)
 class PulseSpec:
     """One exchange pulse: a constant exchange angular frequency j_rad_per_s
-    (>= 0 and finite) held for duration_s (> 0 and finite)."""
+    (>= 0 and finite) held for duration_s (> 0 and finite), with a finite
+    area J T / 2."""
 
     j_rad_per_s: float
     duration_s: float
@@ -47,6 +48,9 @@ class PulseSpec:
         j = float(self.j_rad_per_s)
         if not (math.isfinite(j) and j >= 0.0):
             raise ValueError(f"exchange strength must be >= 0 and finite, got {j!r}")
+        if j * self.duration_s / 2.0 == math.inf:
+            raise ValueError(f"the area J T / 2 of the pulse J = {j!r} rad/s, "
+                             f"T = {self.duration_s!r} s overflows")
         object.__setattr__(self, "j_rad_per_s", j)
 
 

@@ -24,6 +24,15 @@ class TestPulseSpec:
         with pytest.raises(ValueError, match="strength"):
             gates.constant_pulse(-1e9, 1e-9)
 
+    def test_rejects_pulse_whose_area_overflows_naming_the_pulse(self):
+        with pytest.raises(ValueError, match=r"area J T / 2 of the pulse J = 1e\+300 rad/s, "
+                                             r"T = 1e\+300 s overflows"):
+            gates.constant_pulse(1e300, 1e300)
+        # J T just below the largest double is a pulse; J T past it is not
+        assert gates.phase_from_pulse(gates.constant_pulse(1.7e308, 1.0)) == 0.85e308
+        with pytest.raises(ValueError, match="overflows"):
+            gates.constant_pulse(1.7e308, 2.0)
+
     def test_takes_no_profile(self):
         with pytest.raises(TypeError, match="profile"):
             gates.PulseSpec(j_rad_per_s=1e9, duration_s=1e-9, profile=((0.0, 1e9), (1e-9, 1e9)))

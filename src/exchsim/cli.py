@@ -1,8 +1,9 @@
 """Command-line front end: feasibility reports, gate analysis, Monte Carlo runs.
 
 Subcommands: feasibility, gate, mc, sweep, catalog.  A call defines the flags
-of its own command only.  Verdicts are data, not exit codes: 0 means the
-analysis completed (feasible or not), 2 means bad input, 1 an internal failure.
+of its own command only, and registers only that subcommand when it is the
+first argument.  Verdicts are data, not exit codes: 0 means the analysis
+completed (feasible or not), 2 means bad input, 1 an internal failure.
 Each output is written from the record that holds its data: CSV rows from
 McResults, feasibility.json from the resolved inputs and the FeasibilityReport,
 and a manifest's parameters from the McConfig (plus workers, and a sweep's axis
@@ -30,10 +31,12 @@ from .noise import RNG_SCHEME, ControlNoiseSpec, DISTRIBUTIONS, RejectedSampleEr
 CATALOG_ENV_VAR = "EXCHSIM_CATALOG"
 DEFAULT_EPSILON = 1e-5
 DEFAULT_OUT_DIR = "exchsim_out"
-# argparse's negative-number pattern (^-\d+$|^-\d*\.\d+$) plus an exponent and the
-# non-finite spellings float() reads, so that "--dt -2e-5" and "--t2 -inf" read the
-# number as the flag's value, as "--dt=-2e-5" and "--t2=-inf" do, not as an option
-_NEGATIVE_NUMBER = re.compile(r"^-(\d*\.?\d+([eE][-+]?\d+)?|(?i:inf|infinity|nan))$")
+# argparse's negative-number pattern (^-\d+$|^-\d*\.\d+$) plus an exponent, the
+# non-finite spellings float() reads and a comma list that starts with such a number, so
+# that "--dt -2e-5", "--t2 -inf" and "--values -1e-3,1e-3" read as the flag's value, as
+# "--dt=-2e-5", "--t2=-inf" and "--values=-1e-3,1e-3" do, not as an option
+_NUMBER = r"(\d*\.?\d+([eE][-+]?\d+)?|(?i:inf|infinity|nan))"
+_NEGATIVE_NUMBER = re.compile(rf"^-{_NUMBER}(,([-+]?{_NUMBER})?)*$")
 # what feasibility reads without --spec-file: load_specs("") without the INI parser
 _NO_SPEC_FILE = budget.LoadedSpecs(platform=None, technologies=(), threshold=None)
 
@@ -448,30 +451,48 @@ COMMANDS = {
     "sweep": ("Monte Carlo estimates along one parameter axis", _add_sweep_flags, cmd_sweep),
     "catalog": ("list control technologies", _add_catalog_flags, cmd_catalog),
 }
+_COMMANDS_METAVAR = "{" + ",".join(COMMANDS) + "}"  # argparse's own metavar for all five
 
 
-def _build_parser(command=None):
-    """The exchsim parser with every subcommand, but the flags of `command` only."""
+def _build_parser(command=None, alone=False):
+    """The exchsim parser, with the flags and handler of `command` only.
+
+    It registers all five subcommands, or with `alone` the subparser of
+    `command` alone.  The other four then have no parser, but the help still
+    lists them and the metavar writes all five in the usage line, so the
+    usage and help texts are those of the full parser.  main builds the full
+    parser when the first argument is not a command: the metavar would rename
+    the argument in "argument command: invalid choice" and "the following
+    arguments are required: command".
+    """
     parser = argparse.ArgumentParser(
         prog="exchsim",
         description="Exchange-gate noise budgets, feasibility verdicts, and Monte Carlo checks.",
     )
     parser.add_argument("--version", action="version", version=f"exchsim {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=_COMMANDS_METAVAR if alone else None)
     for name, (help_text, add_flags, func) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
         if name == command:
+            p = sub.add_parser(name, help=help_text)
             add_flags(p)
             p.set_defaults(func=func)
             p._negative_number_matcher = _NEGATIVE_NUMBER  # argparse 3.10-3.13 keep it here
+        elif alone:  # the help line that add_parser would list, without the parser
+            sub._choices_actions.append(sub._ChoicesPseudoAction(name, (), help_text))
+        else:
+            sub.add_parser(name, help=help_text)
     return parser
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    # -h and --version take no value, so argparse reads the first non-option as the command
-    command = next((arg for arg in argv if not arg.startswith("-")), None)
-    args = _build_parser(command).parse_args(argv)
+    if argv and argv[0] in COMMANDS:
+        parser = _build_parser(argv[0], alone=True)
+    else:
+        # -h and --version take no value, so argparse reads the first non-option as the command
+        parser = _build_parser(next((arg for arg in argv if not arg.startswith("-")), None))
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, RejectedSampleError) as exc:

@@ -91,6 +91,8 @@ CASES = {
     "bad-mc-t2-minus-inf-separated": ["mc", *MC, "--t2", "-inf", "--out", "out"],
     "bad-gate-phase-error-minus-inf-separated": ["gate", "--alpha", "0.5", "--phase-error", "-inf"],
     "bad-mc-t2-and-duration": ["mc", *MC, "--t2", "0", "--duration", "0", "--out", "out"],
+    "bad-sweep-negative-list-separated": ["sweep", *MC, "--axis", "sigma_a", "--values",
+                                          "-1e-3,1e-3", "--out", "out"],
     "bad-sweep-nan-value": ["sweep", *MC, "--axis", "sigma_a", "--values", "1e-3,nan",
                             "--out", "out"],
     "bad-catalog-missing-file": ["catalog", "--file", "missing.ini"],

@@ -616,32 +616,69 @@ class TestParser:
         assert all(action.nargs == 0 for action in options), [
             (action.option_strings, action.nargs) for action in options]
 
-    @pytest.mark.parametrize("command", [None, "bogus", *cli.COMMANDS])
-    def test_a_parser_defines_the_flags_and_handler_of_its_command_only(self, command):
-        subparsers = next(action for action in cli._build_parser(command)._actions
+    @pytest.mark.parametrize("command, alone", [(None, False), ("bogus", False),
+                                                *((command, alone) for command in cli.COMMANDS
+                                                  for alone in (False, True))])
+    def test_a_parser_defines_the_flags_and_handler_of_its_command_only(self, command, alone):
+        subparsers = next(action for action in cli._build_parser(command, alone)._actions
                           if isinstance(action, argparse._SubParsersAction))
-        assert list(subparsers.choices) == list(cli.COMMANDS)
+        # every command is listed in the help, but alone registers the parser of `command` only
+        assert [action.dest for action in subparsers._choices_actions] == list(cli.COMMANDS)
+        assert list(subparsers.choices) == ([command] if alone else list(cli.COMMANDS))
+        assert subparsers.metavar == ("{feasibility,gate,mc,sweep,catalog}" if alone else None)
         for name, parser in subparsers.choices.items():
             flags = {option for action in parser._actions for option in action.option_strings}
             assert (flags != {"-h", "--help"}) == (name == command), name
             assert parser.get_default("func") == (cli.COMMANDS[name][2] if name == command
                                                   else None), name
 
-    @pytest.mark.parametrize("argv, command", [
-        (["--version"], None), ([], None), (["-x", "mc"], "mc"), (["--", "mc"], "mc"),
-        (["gate", "--alpha", "-2e-5"], "gate"), (["feasibility", "--tech", "mc"], "feasibility")])
-    def test_the_command_main_builds_for_is_the_one_argparse_reads(self, argv, command, capsys,
+    @pytest.mark.parametrize("argv, built_for", [
+        (["--version"], (None, False)), ([], (None, False)), (["bogus"], ("bogus", False)),
+        (["-x", "mc"], ("mc", False)), (["--", "mc"], ("mc", False)),
+        (["-h", "mc"], ("mc", False)), (["--bogus", "mc"], ("mc", False)),
+        (["mc", "extra"], ("mc", True)), (["mc", "-h"], ("mc", True)),
+        (["gate", "--alpha", "-2e-5"], ("gate", True)),
+        (["feasibility", "--tech", "mc"], ("feasibility", True))])
+    def test_the_command_main_builds_for_is_the_one_argparse_reads(self, argv, built_for, capsys,
                                                                     monkeypatch):
+        """main registers the subparser of a leading command alone, and otherwise
+        all five with the flags of the first argument without a leading "-"."""
         built = []
         build = cli._build_parser
-        monkeypatch.setattr(cli, "_build_parser", lambda name: built.append(name) or build(name))
+        monkeypatch.setattr(cli, "_build_parser", lambda name, alone=False:
+                            built.append((name, alone)) or build(name, alone))
         monkeypatch.setattr(cli, "COMMANDS", {name: (help_text, add_flags, lambda args: 0)
                                               for name, (help_text, add_flags, _)
                                               in cli.COMMANDS.items()})
         with contextlib.suppress(SystemExit):
             cli.main(argv)
         capsys.readouterr()
-        assert built == [command]
+        assert built == [built_for]
+
+    @pytest.mark.parametrize("columns", ["60", "80", "200"])
+    @pytest.mark.parametrize("argv", [
+        ["feasibility", "--platform", "si-spin", "--tech", "electrical-pulse-generator",
+         "--epsilon", "1e-4", "--strict-bandwidth"],
+        ["gate", "--alpha", "0.25", "--dj", "1e-4", "--dt", "-2e-5"],
+        ["mc", "--sigma-a", "1e-3", "--t2", "5e-4", "--n", "300", "--workers", "2"],
+        ["sweep", "--axis", "sigma_a", "--values", "-1e-3,1e-3", "--seed", "4"],
+        ["catalog", "--format", "json"]], ids=lambda argv: argv[0])
+    def test_the_lone_command_parser_reads_and_prints_as_the_full_one(self, argv, columns,
+                                                                      monkeypatch):
+        """The parser that registers the invoked subcommand alone prints the usage and
+        help of the one with all five, at the top level and for the command, and
+        reads a valid argv to the same namespace."""
+        monkeypatch.setenv("COLUMNS", columns)  # argparse wraps to the terminal width
+        lone, full = cli._build_parser(argv[0], alone=True), cli._build_parser(argv[0])
+
+        def texts(parser):
+            command = next(action for action in parser._actions
+                           if isinstance(action, argparse._SubParsersAction)).choices[argv[0]]
+            return [parser.format_usage(), parser.format_help(),
+                    command.format_usage(), command.format_help()]
+
+        assert texts(lone) == texts(full)
+        assert vars(lone.parse_args(argv)) == vars(full.parse_args(argv))
 
     @pytest.mark.parametrize("order", [("feasibility", "mc"), ("mc", "feasibility")])
     def test_consecutive_calls_equal_each_call_alone(self, tmp_path, capsys, monkeypatch, order):
@@ -830,17 +867,18 @@ def test_numeric_flag_exits_0_or_2_without_traceback_or_nan_output(tmp_path, cap
             assert not has_nan(json.loads(read_bytes(path))), argv
 
 
-NEGATIVE_VALUES = ["-2e-5", "-1.5E+3", "-.5e300", "-inf", "-Infinity", "-nan"]
+NEGATIVE_VALUES = ["-2e-5", "-1.5E+3", "-.5e300", "-inf", "-Infinity", "-nan", "-1e-3,1e-3"]
 
 
 @pytest.mark.parametrize("command, flag", [pytest.param(command, flag, id=f"{command} {flag}")
                                            for command, (_, flags) in FUZZ_BASES.items()
-                                           for flag in flags])
+                                           for flag in flags]
+                         + [pytest.param("sweep", "--values", id="sweep --values")])
 def test_negative_exponent_value_reads_as_in_the_equals_form(tmp_path, capsys, command, flag):
     """`--flag -2e-5` gives the exit code, stdout, stderr and files of `--flag=-2e-5`,
-    and likewise -inf, -Infinity and -nan: argparse's own negative-number pattern has neither an
-    exponent nor inf and nan, so it read them as options and failed with "expected one
-    argument"."""
+    and likewise -inf, -Infinity, -nan and a comma list that starts with a negative
+    number: argparse's own negative-number pattern has neither an exponent nor inf, nan
+    and commas, so it read them as options and failed with "expected one argument"."""
     base, _ = FUZZ_BASES[command]
     out = tmp_path / "out"
     for value in NEGATIVE_VALUES:

@@ -31,12 +31,14 @@ from .noise import RNG_SCHEME, ControlNoiseSpec, DISTRIBUTIONS, RejectedSampleEr
 CATALOG_ENV_VAR = "EXCHSIM_CATALOG"
 DEFAULT_EPSILON = 1e-5
 DEFAULT_OUT_DIR = "exchsim_out"
-# argparse's negative-number pattern (^-\d+$|^-\d*\.\d+$) plus an exponent, the
-# non-finite spellings float() reads and a comma list that starts with such a number, so
-# that "--dt -2e-5", "--t2 -inf" and "--values -1e-3,1e-3" read as the flag's value, as
-# "--dt=-2e-5", "--t2=-inf" and "--values=-1e-3,1e-3" do, not as an option
-_NUMBER = r"(\d*\.?\d+([eE][-+]?\d+)?|(?i:inf|infinity|nan))"
-_NEGATIVE_NUMBER = re.compile(rf"^-{_NUMBER}(,([-+]?{_NUMBER})?)*$")
+# argparse's negative-number pattern (^-\d+$|^-\d*\.\d+$) widened to what float() reads
+# (an exponent; inf, infinity and nan in any case) and to a comma list whose first entry
+# is negative, so that "--dt -2e-5", "--t2 -inf" and "--values -1e-3,1e-3" read as the
+# flag's value, as "--dt=-2e-5", "--t2=-inf" and "--values=-1e-3,1e-3" do, not as an
+# option.  Each entry follows the leading "-" or a comma; an empty one is read as sweep
+# reads it.  One entry pattern, not two, keeps the import-time compile as short as before.
+_NEGATIVE_NUMBER = re.compile(
+    r"^(?:(?:^-|,[-+]?)(?:\d*\.?\d+(?:[eE][-+]?\d+)?|(?i:inf|infinity|nan))?)+$")
 # what feasibility reads without --spec-file: load_specs("") without the INI parser
 _NO_SPEC_FILE = budget.LoadedSpecs(platform=None, technologies=(), threshold=None)
 

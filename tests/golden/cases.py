@@ -124,6 +124,14 @@ CASES = {
     "help-before-command": ["-h", "mc"],
     "usage-unknown-flag-before-command": ["--bogus", "mc"],
     "usage-mc-extra-argument": ["mc", "extra"],
+    "usage-short-unknown-flag-before-command": ["-x", "mc"],
+    "usage-negative-number-before-command": ["-5", "mc"],
+    "usage-dash-before-command": ["-", "mc"],
+    "usage-unknown-flag-after-double-dash": ["--", "-x", "mc"],
+    "mc-after-double-dash": ["--", "mc", "--n", "3", "--out", "out"],
+    "version-before-command": ["--version", "mc"],
+    "help-before-unknown-command": ["--help", "bogus"],
+    "usage-unknown-command-before-command": ["bogus", "mc"],
 }
 
 

@@ -1,8 +1,8 @@
 """Command-line front end: feasibility reports, gate analysis, Monte Carlo runs.
 
-Subcommands: feasibility, gate, mc, sweep, catalog.  A call defines the flags
-of its own command only, and registers only that subcommand when it is the
-first argument.  Verdicts are data, not exit codes: 0 means the analysis
+Subcommands: feasibility, gate, mc, sweep, catalog.  The first argument
+without a leading "-" gets its parser; the other commands are choices and
+help lines.  Verdicts are data, not exit codes: 0 means the analysis
 completed (feasible or not), 2 means bad input, 1 an internal failure.
 Each output is written from the record that holds its data: CSV rows from
 McResults, feasibility.json from the resolved inputs and the FeasibilityReport,
@@ -453,47 +453,38 @@ COMMANDS = {
     "sweep": ("Monte Carlo estimates along one parameter axis", _add_sweep_flags, cmd_sweep),
     "catalog": ("list control technologies", _add_catalog_flags, cmd_catalog),
 }
-_COMMANDS_METAVAR = "{" + ",".join(COMMANDS) + "}"  # argparse's own metavar for all five
 
 
-def _build_parser(command=None, alone=False):
-    """The exchsim parser, with the flags and handler of `command` only.
+def _build_parser(command=None):
+    """The exchsim parser, with a subparser for `command` alone.
 
-    It registers all five subcommands, or with `alone` the subparser of
-    `command` alone.  The other four then have no parser, but the help still
-    lists them and the metavar writes all five in the usage line, so the
-    usage and help texts are those of the full parser.  main builds the full
-    parser when the first argument is not a command: the metavar would rename
-    the argument in "argument command: invalid choice" and "the following
-    arguments are required: command".
+    The other commands are choices without a parser, with the help lines that
+    add_parser would list, so argparse writes its usage, help and errors as it
+    does with five subparsers.  main passes the first argument without a
+    leading "-", which argparse reads as the command: no top-level option
+    takes a value, and -, -5 and what follows -- are no command names.
     """
     parser = argparse.ArgumentParser(
         prog="exchsim",
         description="Exchange-gate noise budgets, feasibility verdicts, and Monte Carlo checks.",
     )
     parser.add_argument("--version", action="version", version=f"exchsim {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True,
-                                metavar=_COMMANDS_METAVAR if alone else None)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, add_flags, func) in COMMANDS.items():
         if name == command:
             p = sub.add_parser(name, help=help_text)
             add_flags(p)
             p.set_defaults(func=func)
             p._negative_number_matcher = _NEGATIVE_NUMBER  # argparse 3.10-3.13 keep it here
-        elif alone:  # the help line that add_parser would list, without the parser
+        else:  # the choice and help line that add_parser would register, without the parser
+            sub.choices[name] = None
             sub._choices_actions.append(sub._ChoicesPseudoAction(name, (), help_text))
-        else:
-            sub.add_parser(name, help=help_text)
     return parser
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] in COMMANDS:
-        parser = _build_parser(argv[0], alone=True)
-    else:
-        # -h and --version take no value, so argparse reads the first non-option as the command
-        parser = _build_parser(next((arg for arg in argv if not arg.startswith("-")), None))
+    parser = _build_parser(next((arg for arg in argv if not arg.startswith("-")), None))
     args = parser.parse_args(argv)
     try:
         return args.func(args)

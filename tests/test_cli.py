@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import csv
+import io
 import itertools
 import json
 import math
@@ -606,6 +607,23 @@ class TestOutputRewrite:
         assert after == before  # no descriptor left open
 
 
+def oracle_parser():
+    """The parser argparse gives with all five subparsers of cli.COMMANDS registered,
+    each with its flags and handler: the reference that cli's parser reads and prints as."""
+    parser = argparse.ArgumentParser(
+        prog="exchsim",
+        description="Exchange-gate noise budgets, feasibility verdicts, and Monte Carlo checks.",
+    )
+    parser.add_argument("--version", action="version", version=f"exchsim {cli.__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_flags, func) in cli.COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        add_flags(command)
+        command.set_defaults(func=func)
+        command._negative_number_matcher = cli._NEGATIVE_NUMBER
+    return parser
+
+
 class TestParser:
     def test_every_top_level_option_takes_no_value(self):
         """main takes the first argument without a leading "-" for the command,
@@ -616,37 +634,33 @@ class TestParser:
         assert all(action.nargs == 0 for action in options), [
             (action.option_strings, action.nargs) for action in options]
 
-    @pytest.mark.parametrize("command, alone", [(None, False), ("bogus", False),
-                                                *((command, alone) for command in cli.COMMANDS
-                                                  for alone in (False, True))])
-    def test_a_parser_defines_the_flags_and_handler_of_its_command_only(self, command, alone):
-        subparsers = next(action for action in cli._build_parser(command, alone)._actions
+    @pytest.mark.parametrize("command", [None, "bogus", *cli.COMMANDS])
+    def test_a_parser_defines_the_flags_and_handler_of_its_command_only(self, command):
+        subparsers = next(action for action in cli._build_parser(command)._actions
                           if isinstance(action, argparse._SubParsersAction))
-        # every command is listed in the help, but alone registers the parser of `command` only
+        # every command is a choice with a help line, but only `command` has a parser
+        assert list(subparsers.choices) == list(cli.COMMANDS)
         assert [action.dest for action in subparsers._choices_actions] == list(cli.COMMANDS)
-        assert list(subparsers.choices) == ([command] if alone else list(cli.COMMANDS))
-        assert subparsers.metavar == ("{feasibility,gate,mc,sweep,catalog}" if alone else None)
-        for name, parser in subparsers.choices.items():
+        assert [name for name, parser in subparsers.choices.items() if parser is not None] == (
+            [command] if command in cli.COMMANDS else [])
+        assert subparsers.metavar is None
+        if command in cli.COMMANDS:
+            parser = subparsers.choices[command]
             flags = {option for action in parser._actions for option in action.option_strings}
-            assert (flags != {"-h", "--help"}) == (name == command), name
-            assert parser.get_default("func") == (cli.COMMANDS[name][2] if name == command
-                                                  else None), name
+            assert flags - {"-h", "--help"}
+            assert parser.get_default("func") == cli.COMMANDS[command][2]
 
     @pytest.mark.parametrize("argv, built_for", [
-        (["--version"], (None, False)), ([], (None, False)), (["bogus"], ("bogus", False)),
-        (["-x", "mc"], ("mc", False)), (["--", "mc"], ("mc", False)),
-        (["-h", "mc"], ("mc", False)), (["--bogus", "mc"], ("mc", False)),
-        (["mc", "extra"], ("mc", True)), (["mc", "-h"], ("mc", True)),
-        (["gate", "--alpha", "-2e-5"], ("gate", True)),
-        (["feasibility", "--tech", "mc"], ("feasibility", True))])
+        (["--version"], None), ([], None), (["bogus"], "bogus"), (["-x", "mc"], "mc"),
+        (["--", "mc"], "mc"), (["-h", "mc"], "mc"), (["--bogus", "mc"], "mc"),
+        (["mc", "extra"], "mc"), (["mc", "-h"], "mc"), (["gate", "--alpha", "-2e-5"], "gate"),
+        (["feasibility", "--tech", "mc"], "feasibility")])
     def test_the_command_main_builds_for_is_the_one_argparse_reads(self, argv, built_for, capsys,
                                                                     monkeypatch):
-        """main registers the subparser of a leading command alone, and otherwise
-        all five with the flags of the first argument without a leading "-"."""
+        """main builds the parser for the first argument without a leading "-"."""
         built = []
         build = cli._build_parser
-        monkeypatch.setattr(cli, "_build_parser", lambda name, alone=False:
-                            built.append((name, alone)) or build(name, alone))
+        monkeypatch.setattr(cli, "_build_parser", lambda name: built.append(name) or build(name))
         monkeypatch.setattr(cli, "COMMANDS", {name: (help_text, add_flags, lambda args: 0)
                                               for name, (help_text, add_flags, _)
                                               in cli.COMMANDS.items()})
@@ -663,13 +677,13 @@ class TestParser:
         ["mc", "--sigma-a", "1e-3", "--t2", "5e-4", "--n", "300", "--workers", "2"],
         ["sweep", "--axis", "sigma_a", "--values", "-1e-3,1e-3", "--seed", "4"],
         ["catalog", "--format", "json"]], ids=lambda argv: argv[0])
-    def test_the_lone_command_parser_reads_and_prints_as_the_full_one(self, argv, columns,
-                                                                      monkeypatch):
-        """The parser that registers the invoked subcommand alone prints the usage and
-        help of the one with all five, at the top level and for the command, and
-        reads a valid argv to the same namespace."""
+    def test_the_command_parser_reads_and_prints_as_the_oracle(self, argv, columns,
+                                                               monkeypatch):
+        """The parser for the invoked command prints the usage and help of the one
+        with all five subparsers, at the top level and for the command, and reads
+        a valid argv to the same namespace."""
         monkeypatch.setenv("COLUMNS", columns)  # argparse wraps to the terminal width
-        lone, full = cli._build_parser(argv[0], alone=True), cli._build_parser(argv[0])
+        built, oracle = cli._build_parser(argv[0]), oracle_parser()
 
         def texts(parser):
             command = next(action for action in parser._actions
@@ -677,8 +691,39 @@ class TestParser:
             return [parser.format_usage(), parser.format_help(),
                     command.format_usage(), command.format_help()]
 
-        assert texts(lone) == texts(full)
-        assert vars(lone.parse_args(argv)) == vars(full.parse_args(argv))
+        assert texts(built) == texts(oracle)
+        assert vars(built.parse_args(argv)) == vars(oracle.parse_args(argv))
+
+    def test_main_reads_every_short_argv_as_the_oracle(self, monkeypatch):
+        """Each of the 400 argvs of up to three of these tokens gives the exit code,
+        stdout, stderr and namespace of the parser with all five subparsers."""
+        monkeypatch.setenv("COLUMNS", "80")
+        namespaces = []
+        monkeypatch.setattr(cli, "COMMANDS", {name: (help_text, add_flags,
+                                                     lambda args: namespaces.append(args) or 0)
+                                              for name, (help_text, add_flags, _)
+                                              in cli.COMMANDS.items()})
+
+        def outcome(call, argv):
+            namespaces.clear()
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = call(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            return code, out.getvalue(), err.getvalue(), [vars(args) for args in namespaces]
+
+        def oracle_main(argv):
+            args = oracle_parser().parse_args(argv)
+            return args.func(args)
+
+        tokens = ["mc", "bogus", "-x", "-5", "-", "--", "-h"]
+        argvs = [list(argv) for length in range(4) for argv in itertools.product(tokens,
+                                                                                repeat=length)]
+        assert len(argvs) == 400
+        assert [argv for argv in argvs
+                if outcome(cli.main, argv) != outcome(oracle_main, argv)] == []
 
     @pytest.mark.parametrize("order", [("feasibility", "mc"), ("mc", "feasibility")])
     def test_consecutive_calls_equal_each_call_alone(self, tmp_path, capsys, monkeypatch, order):
@@ -766,6 +811,7 @@ class TestCatalogCommand:
         assert rc == 0
         report = json.loads(read_bytes(tmp_path / "out" / "feasibility.json"))
         assert report["technology"]["name"] == "house-generator"
+
 
 
 FUZZ_VALUES = ["nan", "inf", "-inf", "-1", "0", "", "1e308", "5e-324", "1e-320", "1e-300"]

@@ -89,8 +89,12 @@ def _write_manifest(out_dir, command, parameters, seed, outputs, started, **extr
 
 
 def _load_spec_file(path):
-    with open(path) as fh:
-        return budget.load_specs(fh.read())
+    with open(path, encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"spec file {path} is not UTF-8: {exc}") from None
+    return budget.load_specs(text)
 
 
 def _user_technologies(file_arg):

@@ -12,7 +12,10 @@ import platform
 import random
 import re
 import shutil
+import subprocess
+import sys
 from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -812,6 +815,41 @@ class TestCatalogCommand:
         report = json.loads(read_bytes(tmp_path / "out" / "feasibility.json"))
         assert report["technology"]["name"] == "house-generator"
 
+
+
+@pytest.mark.parametrize("route", ["catalog --file", "EXCHSIM_CATALOG", "feasibility --spec-file"])
+def test_spec_file_is_read_as_utf8_in_a_c_locale(tmp_path, route):
+    """A fresh interpreter in the C locale, without UTF-8 mode, reads a UTF-8 spec
+    file on each of the three routes that load one."""
+    notes = "240 fs \u00b5-wave"
+    (tmp_path / "u.ini").write_bytes((ELECTRICAL_INI_EXTRA + f"notes = {notes}\n").encode())
+    env = {key: value for key, value in os.environ.items()
+           if key not in (cli.CATALOG_ENV_VAR, "PYTHONUTF8", "PYTHONIOENCODING")}
+    env.update(LC_ALL="C", PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    argv = {"catalog --file": ["catalog", "--file", "u.ini", "--format", "json"],
+            "EXCHSIM_CATALOG": ["catalog", "--format", "json"],
+            "feasibility --spec-file": ["feasibility", "--platform", "si-spin",
+                                        "--spec-file", "u.ini", "--out", "out"]}[route]
+    if route == "EXCHSIM_CATALOG":
+        env[cli.CATALOG_ENV_VAR] = "u.ini"
+    done = subprocess.run([sys.executable, "-X", "utf8=0", "-m", "exchsim.cli", *argv],
+                          cwd=tmp_path, env=env, capture_output=True)
+    assert (done.returncode, done.stderr) == (0, b"")
+    if route == "feasibility --spec-file":
+        assert json.loads(read_bytes(tmp_path / "out" / "feasibility.json"))[
+            "technology"]["notes"] == notes
+    else:
+        entries = json.loads(done.stdout)
+        assert [e["notes"] for e in entries if e["name"] == "house-generator"] == [notes]
+
+
+def test_spec_file_that_is_not_utf8_is_input_error_naming_the_path(tmp_path, capsys):
+    latin1 = tmp_path / "latin1.ini"
+    latin1.write_bytes((ELECTRICAL_INI_EXTRA + "notes = 240 fs \u00b5-wave\n").encode("latin-1"))
+    assert cli.main(["catalog", "--file", str(latin1)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: spec file {latin1} is not UTF-8: ")
+    assert "Traceback" not in err
 
 
 FUZZ_VALUES = ["nan", "inf", "-inf", "-1", "0", "", "1e308", "5e-324", "1e-320", "1e-300"]

@@ -680,11 +680,11 @@ class TestParser:
         ["mc", "--sigma-a", "1e-3", "--t2", "5e-4", "--n", "300", "--workers", "2"],
         ["sweep", "--axis", "sigma_a", "--values", "-1e-3,1e-3", "--seed", "4"],
         ["catalog", "--format", "json"]], ids=lambda argv: argv[0])
-    def test_the_command_parser_reads_and_prints_as_the_oracle(self, argv, columns,
-                                                               monkeypatch):
-        """The parser for the invoked command prints the usage and help of the one
-        with all five subparsers, at the top level and for the command, and reads
-        a valid argv to the same namespace."""
+    def test_the_lone_command_parser_reads_and_prints_as_the_full_one(self, argv, columns,
+                                                                      monkeypatch):
+        """The parser with the invoked command's subparser alone prints the usage and
+        help of the oracle, at the top level and for the command, and reads a valid
+        argv to the same namespace."""
         monkeypatch.setenv("COLUMNS", columns)  # argparse wraps to the terminal width
         built, oracle = cli._build_parser(argv[0]), oracle_parser()
 
@@ -722,8 +722,8 @@ class TestParser:
             return args.func(args)
 
         tokens = ["mc", "bogus", "-x", "-5", "-", "--", "-h"]
-        argvs = [list(argv) for length in range(4) for argv in itertools.product(tokens,
-                                                                                repeat=length)]
+        argvs = [list(argv) for length in range(4)
+                 for argv in itertools.product(tokens, repeat=length)]
         assert len(argvs) == 400
         assert [argv for argv in argvs
                 if outcome(cli.main, argv) != outcome(oracle_main, argv)] == []

@@ -9,8 +9,10 @@ and of the dephasing Kraus terms only I(x)I and Z(x)Z overlap the target:
 
 with p_i the phase-flip probabilities over the realized duration (zero
 without dephasing).  d is formed from the draws directly, so the score
-keeps its relative precision at infidelities down to 1e-16.  The dense
-route (exchange_unitary, dephasing_channel, entanglement_fidelity) is the
+keeps its relative precision at infidelities down to 1e-16.  _area_term
+and _score evaluate it in place, in the order written there; reordering it
+moves the CSV bytes, a named output change.  The dense route
+(exchange_unitary, dephasing_channel, entanglement_fidelity) is the
 independent oracle the tests compare against.
 
 Samples are drawn and scored as arrays in fixed blocks [k BLOCK, (k+1) BLOCK)
@@ -21,7 +23,8 @@ in block order, so results are bit-identical for any n_workers.  One worker
 maps on the calling thread; more import concurrent.futures and start a pool.
 
 A sweep is one pass over the blocks, and its rows that share a draw key
-(seed, duration, effective noise) share the draws, so each row is
+(seed, duration, effective noise) form a draw group, which shares the drawn
+errors, the effective noise and the realized duration T + t, so each row is
 bit-identical to its own estimate_infidelity.
 """
 
@@ -96,25 +99,55 @@ class McResult:
 
 
 def _area_term(cfg, a, t):
-    """sin^2(d/2) of the pulse-area error d of cfg's gate under the drawn errors a, t."""
+    """sin^2(d/2) of the pulse-area error d of cfg's gate under the drawn errors a, t.
+
+    The realized area is theta0 (1+a)(1+s), s = t/T: d is formed in place as
+    theta0 ((a + s) + a s) + (theta0 - pi alpha).
+    """
     duration, theta0 = cfg.nominal.duration_s, phase_from_pulse(cfg.nominal)
-    # The realized area is theta0 (1+a)(1+s).
-    s = t / duration
-    d = theta0 * (a + s + a * s) + (theta0 - math.pi * cfg.target_alpha)
-    return np.sin(0.5 * d) ** 2
+    d = t / duration  # s
+    cross = a * d
+    d += a
+    d += cross
+    d *= theta0
+    d += theta0 - math.pi * cfg.target_alpha
+    d *= 0.5
+    np.sin(d, out=d)
+    return np.square(d, out=d)
 
 
-def _score(cfg, t, area):
-    """Infidelities of cfg's gate under the drawn timing errors t, given its _area_term."""
+def _score(cfg, realized, area):
+    """Infidelities of cfg's gate given the realized durations T + t and its _area_term.
+
+    In place: ((p1 + p2) - p1 p2) + area ((3/4 (1-p1)) (1-p2) - (1/4 p1) p2)
+    with p_i = -1/2 expm1((T + t) / -T2_i), whose quotient overflows to inf at
+    a subnormal T2 for the limit p = 1/2 (the caller ignores the overflow).
+    area is not written, and realized is not read without dephasing.
+    """
     t2_q1, t2_q2 = cfg.dephasing.t2_q1_s, cfg.dephasing.t2_q2_s
     if t2_q1 == t2_q2 == math.inf:
-        return 0.75 * area  # p1 = p2 = 0, so the realized duration is not needed
-    realized = cfg.nominal.duration_s + t
-    with np.errstate(over="ignore"):  # T / T2 overflowing to inf gives the limit p = 1/2
-        p1 = -0.5 * np.expm1(realized / -t2_q1)  # flip_probability over arrays (0 at T2 = inf)
-        p2 = p1 if t2_q2 == t2_q1 else -0.5 * np.expm1(realized / -t2_q2)  # one array if shared
-    weight = 0.75 * (1.0 - p1) * (1.0 - p2) - 0.25 * p1 * p2
-    return (p1 + p2 - p1 * p2) + area * weight
+        return 0.75 * area  # p1 = p2 = 0
+
+    def flip_probabilities(t2):  # flip_probability over arrays (0 at T2 = inf)
+        p = np.divide(realized, -t2)
+        np.expm1(p, out=p)
+        p *= -0.5
+        return p
+
+    p1 = flip_probabilities(t2_q1)
+    p2 = p1 if t2_q2 == t2_q1 else flip_probabilities(t2_q2)
+    values = np.subtract(1.0, p1)  # the buffer of 1 - p1, then of 1/4 p1 p2, then of the values
+    weight = 0.75 * values
+    weight *= values if p2 is p1 else np.subtract(1.0, p2)
+    np.multiply(p1, 0.25, out=values)
+    values *= p2
+    weight -= values
+    weight *= area
+    np.add(p1, p2, out=values)
+    p2 *= p1  # p1 p2; p1 is not read again
+    values -= p2
+    values += weight
+    return values
 
 
 def _merge(x, y):
@@ -129,41 +162,56 @@ def _merge(x, y):
 def _estimate(cfgs, n_workers):
     """McResults of the rows cfgs, which share n_samples, in one pass over the blocks.
 
-    Each block is drawn once per draw key, its area term is computed once
-    per (nominal pulse, target_alpha) of that key, and every row is scored
-    from them and reduced to one record per row in the thread that runs it;
-    the calling thread merges each row's records in block order, so any worker
-    count yields bit-identical McResults and memory does not grow with n.
-    At most min(n_workers, number of blocks, os.cpu_count()) threads are
-    started, with 16 blocks per thread in flight.
+    Rows that share a draw key (seed, duration, effective noise) form a draw
+    group.  Its effective noise is built once; per block, its errors are drawn
+    once, its realized durations T + t are formed once if some row dephases,
+    and its area term once per (nominal pulse, target_alpha).  Each row is
+    scored from these in place, in the order written in _area_term and _score
+    (reordering moves the CSV bytes: a named output change), and reduced to
+    one record in the thread that runs the block.  The calling thread merges
+    each row's records in block order, so any worker count yields
+    bit-identical McResults and memory does not grow with n.  At most
+    min(n_workers, number of blocks, os.cpu_count()) threads are started,
+    with 16 blocks per thread in flight.
     """
     if n_workers < 1:
         raise ValueError(f"n_workers must be >= 1, got {n_workers!r}")
-    # draw key -> (nominal, target_alpha) -> rows; amplitude noise enters
-    # through the sensitivity
-    groups = {}
+    # draw key -> (effective noise, (nominal, target_alpha) -> rows); amplitude
+    # noise enters through the sensitivity
+    groups, dephased = {}, set()
     for row, cfg in enumerate(cfgs):
-        eff_noise = replace(cfg.noise, sigma_a=cfg.sensitivity * cfg.noise.sigma_a)
-        areas = groups.setdefault((cfg.seed, cfg.nominal.duration_s, eff_noise), {})
-        areas.setdefault((cfg.nominal, cfg.target_alpha), []).append(row)
+        sigma_a = cfg.sensitivity * cfg.noise.sigma_a
+        key = (cfg.seed, cfg.nominal.duration_s, sigma_a, cfg.noise.sigma_t_s,
+               cfg.noise.distribution)
+        if key not in groups:
+            groups[key] = (replace(cfg.noise, sigma_a=sigma_a), {})
+        groups[key][1].setdefault((cfg.nominal, cfg.target_alpha), []).append(row)
+        if min(cfg.dephasing.t2_q1_s, cfg.dephasing.t2_q2_s) < math.inf:
+            dephased.add(key)
     n = cfgs[0].n_samples
     blocks = range(-(-n // BLOCK))
     workers = min(n_workers, len(blocks), os.cpu_count() or 1)
 
     def run_block(block):
         records = [None] * len(cfgs)
-        for (seed, duration, noise), areas in groups.items():
-            a, t, rejected = draw_errors_block(seed, block, min(BLOCK, n - block * BLOCK),
-                                               duration, noise)
-            redraws = int(np.sum(rejected))
-            for rows in areas.values():
-                area = _area_term(cfgs[rows[0]], a, t)
-                for row in rows:
-                    values = _score(cfgs[row], t, area)
-                    # (count, mean, M2 = sum of squared deviations, min, max, redraws)
-                    mean = np.mean(values)
-                    records[row] = (values.size, mean, np.sum((values - mean) ** 2),
-                                    np.min(values), np.max(values), redraws)
+        # numpy's error state is per thread: T / T2 overflowing to inf gives p = 1/2
+        with np.errstate(over="ignore"):
+            for key, (noise, areas) in groups.items():
+                seed, duration = key[:2]
+                a, t, rejected = draw_errors_block(seed, block, min(BLOCK, n - block * BLOCK),
+                                                   duration, noise)
+                redraws = int(np.add.reduce(rejected))
+                realized = duration + t if key in dephased else None
+                for rows in areas.values():
+                    area = _area_term(cfgs[rows[0]], a, t)
+                    for row in rows:
+                        values = _score(cfgs[row], realized, area)
+                        # (count, mean, M2 = sum of squared deviations, min, max, redraws)
+                        mean = np.add.reduce(values) / values.size
+                        lo, hi = np.minimum.reduce(values), np.maximum.reduce(values)
+                        values -= mean
+                        m2 = np.add.reduce(np.square(values, out=values))
+                        records[row] = (values.size, mean, m2, lo, hi, redraws)
         return records
 
     window = 16 * workers  # blocks in flight: a window is mapped once the last is merged

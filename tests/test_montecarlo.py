@@ -4,6 +4,7 @@ import math
 import re
 import threading
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, replace
 from pathlib import Path
@@ -36,7 +37,8 @@ def score_block(cfg, block):
     eff_noise = replace(cfg.noise, sigma_a=cfg.sensitivity * cfg.noise.sigma_a)
     size = min(BLOCK, cfg.n_samples - block * BLOCK)
     a, t, rejected = draw_errors_block(cfg.seed, block, size, cfg.nominal.duration_s, eff_noise)
-    return montecarlo._score(cfg, t, montecarlo._area_term(cfg, a, t)), rejected
+    area = montecarlo._area_term(cfg, a, t)
+    return montecarlo._score(cfg, cfg.nominal.duration_s + t, area), rejected
 
 
 class InTurnPool(ThreadPoolExecutor):
@@ -44,15 +46,20 @@ class InTurnPool(ThreadPoolExecutor):
 
     Every thread still draws into its own buffer and the estimator's window and
     merge are unchanged, but no two threads' block temporaries are ever alive
-    at once, so a run's peak memory does not depend on the thread schedule.
+    at once, and each thread takes one of the first items of every window, so
+    every thread allocates its draw buffer: a run's peak memory does not depend
+    on the thread schedule.
     """
 
     def map(self, fn, items):
         items = list(items)
         done = [threading.Event() for _ in range(len(items) + 1)]
         done[0].set()
+        first = threading.Barrier(min(len(items), self._max_workers))
 
         def in_turn(k):
+            if k < first.parties:  # held until every thread holds one of these items
+                first.wait(timeout=60)
             assert done[k].wait(timeout=60), f"item {k - 1} of the window never finished"
             try:
                 return fn(items[k])
@@ -274,6 +281,20 @@ class TestBlockReduction:
         if n > 1 and "distribution" in kwargs:
             assert result.n_rejected > 0
 
+    @pytest.mark.parametrize("t2", [5e-324, 1e-310])
+    def test_overflowing_t_over_t2_warns_in_no_pool_thread(self, monkeypatch, t2):
+        # numpy's error state is per thread, so the scope that ignores T / T2
+        # overflowing must be opened in the thread that scores the block.
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        # T = 0.1 s: T / T2 overflows at both T2 (T / 1e-310 = 1e309)
+        cfg = make_config(n=3 * BLOCK + 5, seed=30, duration=0.1, sigma_a=1e-3, sigma_t=1e-12,
+                          t2=t2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            one, two = (estimate_infidelity(cfg, n_workers=workers) for workers in (1, 2))
+        assert hexed(one) == hexed(two)
+        assert one.min_infidelity >= 0.75  # p1 = p2 = 1/2
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_memory_does_not_grow_with_n(self, monkeypatch, workers):
         def run(n):
@@ -289,6 +310,64 @@ class TestBlockReduction:
             return lambda: sweep(cfg, "t2", [5e-5, 1e-4, 5e-4, 1e-3, 5e-3], n_workers=workers)
 
         assert_memory_does_not_grow_with_n(monkeypatch, run)
+
+
+def parent_area_term(cfg, a, t):
+    """_area_term written as the expressions whose bytes it keeps."""
+    duration, theta0 = cfg.nominal.duration_s, gates.phase_from_pulse(cfg.nominal)
+    s = t / duration
+    d = theta0 * (a + s + a * s) + (theta0 - math.pi * cfg.target_alpha)
+    return np.sin(0.5 * d) ** 2
+
+
+def parent_score(cfg, t, area):
+    """_score written as the expressions whose bytes it keeps."""
+    t2_q1, t2_q2 = cfg.dephasing.t2_q1_s, cfg.dephasing.t2_q2_s
+    if t2_q1 == t2_q2 == math.inf:
+        return 0.75 * area
+    realized = cfg.nominal.duration_s + t
+    p1 = -0.5 * np.expm1(realized / -t2_q1)
+    p2 = -0.5 * np.expm1(realized / -t2_q2)
+    weight = 0.75 * (1 - p1) * (1 - p2) - 0.25 * p1 * p2
+    return (p1 + p2 - p1 * p2) + area * weight
+
+
+class TestKernelBytes:
+    """The in-place kernel gives the bytes of the closed form's plain expressions."""
+
+    @pytest.mark.parametrize("kwargs, spec", [
+        (dict(sigma_a=1e-3, sigma_t=1e-12), None),
+        (dict(sigma_a=1e-3, sigma_t=1e-12), dephasing.DephasingSpec(T2)),
+        (dict(sigma_a=1e-2, sigma_t=5e-9, distribution="uniform"),  # with redraws
+         dephasing.DephasingSpec(5e-5)),
+        (dict(sigma_a=0.3, sigma_t=1e-9, sensitivity=0.7), dephasing.DephasingSpec(2e-6, 7e-5)),
+        (dict(sigma_a=1e-3, sigma_t=1e-12), dephasing.DephasingSpec(5e-4, math.inf)),
+        (dict(sigma_a=1e-3, sigma_t=1e-12), dephasing.DephasingSpec(math.inf, 7e-5)),
+        (dict(sigma_a=1e-3, sigma_t=1e-12), dephasing.DephasingSpec(5e-324)),  # p = 1/2
+        (dict(sigma_a=1e-3, sigma_t=1e-12), dephasing.DephasingSpec(1e-310, 5e-4)),
+        (dict(sigma_a=1e-3, sigma_t=1e-12, alpha=1.0, duration=2e-8), dephasing.DephasingSpec(T2)),
+    ], ids=["coherent", "equal-t2", "uniform", "asymmetric-t2", "q2-no-decay", "q1-no-decay",
+            "subnormal-t2", "one-subnormal-t2", "alpha-1"])
+    @pytest.mark.parametrize("target", [None, 0.52], ids=["matched", "detuned"])
+    @pytest.mark.parametrize("block", [0, 1], ids=["whole-block", "ragged-block"])
+    def test_area_term_and_score_equal_the_closed_form_bit_for_bit(self, kwargs, spec, target,
+                                                                   block):
+        cfg = replace(make_config(n=BLOCK + 17, seed=29, **kwargs), dephasing=spec)
+        if target is not None:
+            cfg = replace(cfg, target_alpha=target)
+        size = min(BLOCK, cfg.n_samples - block * BLOCK)
+        eff_noise = replace(cfg.noise, sigma_a=cfg.sensitivity * cfg.noise.sigma_a)
+        a, t, _ = draw_errors_block(cfg.seed, block, size, cfg.nominal.duration_s, eff_noise)
+        with np.errstate(over="ignore"):
+            area = montecarlo._area_term(cfg, a, t)
+            expected_area = parent_area_term(cfg, a, t)
+            assert area.tobytes() == expected_area.tobytes()
+            realized = None if spec is None else cfg.nominal.duration_s + t  # not read if coherent
+            values = montecarlo._score(cfg, realized, area)
+            assert values.tobytes() == parent_score(cfg, t, expected_area).tobytes()
+        assert area.tobytes() == expected_area.tobytes()  # rows that share it see it unchanged
+        if spec is not None and spec.t2_q1_s == spec.t2_q2_s == 5e-324:
+            assert np.all(values >= 0.75)  # p1 = p2 = 1/2
 
 
 class TestSamplePathMatchesPublicOps:

@@ -103,6 +103,12 @@ CASES = {
                                        "--sigma-a", "1e-6", "--sigma-t", "1e-14", "--out", "out"],
     "bad-feasibility-tech-and-band": ["feasibility", "--tech", "electrical-pulse-generator",
                                       "--bw-high", "1e9", "--out", "out"],
+    "bad-feasibility-t2-without-sensitivity": ["feasibility", "--t2", "1e-3", "--tech",
+                                               "electrical-pulse-generator", "--out", "out"],
+    "bad-feasibility-sigma-a-without-sigma-t": ["feasibility", "--sigma-a", "1e-6",
+                                                "--out", "out"],
+    "bad-feasibility-unknown-tech": ["feasibility", "--tech", "bogus", "--out", "out"],
+    "bad-feasibility-no-technology": ["feasibility", "--out", "out"],
     "bad-mc-overflowing-alpha": ["mc", "--alpha", "1e160", "--duration", "1", "--n", "10",
                                  "--out", "out"],
     "bad-mc-negative-alpha": ["mc", "--alpha=-0.5", "--n", "10", "--out", "out"],

@@ -11,10 +11,9 @@ __version__ = "0.1.0"
 _EXPORTS = {  # submodule -> the public names it defines
     "core": ("SWAP", "density_from_pure", "expm_hermitian", "kron", "process_fidelity",
              "spin_dot_operator"),
-    "gates": ("PulseSpec", "constant_pulse", "exchange_unitary", "gate_error_vs_phase",
-              "phase_from_pulse", "profile_pulse", "pulse_for_target",
-              "relative_error_to_phase_error", "relative_error_to_phase_error_first_order",
-              "swap_power_target"),
+    "gates": ("PulseSpec", "exchange_unitary", "gate_error_vs_phase", "phase_from_pulse",
+              "profile_pulse", "pulse_for_target", "relative_error_to_phase_error",
+              "relative_error_to_phase_error_first_order", "swap_power_target"),
     "noise": ("ControlNoiseSpec", "RejectedSampleError", "integrated_snr", "sample_pulse"),
     "dephasing": ("DephasingSpec", "QuantumChannel4", "apply_channel",
                   "compose_channel_after_unitary", "dephasing_channel", "entanglement_fidelity"),

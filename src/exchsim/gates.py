@@ -54,10 +54,6 @@ class PulseSpec:
         object.__setattr__(self, "j_rad_per_s", j)
 
 
-def constant_pulse(j_rad_per_s, duration_s):
-    return PulseSpec(j_rad_per_s=j_rad_per_s, duration_s=duration_s)
-
-
 def profile_pulse(samples):
     """The constant pulse with the duration and trapezoid-rule area of sampled J(t).
 
@@ -76,13 +72,13 @@ def profile_pulse(samples):
     if not np.all(np.isfinite(values) & (values >= 0.0)):
         raise ValueError("profile strengths must be >= 0 and finite")
     duration = _checked_duration(times[-1])
-    return constant_pulse(float(np.trapezoid(values, times)) / duration, duration)
+    return PulseSpec(float(np.trapezoid(values, times)) / duration, duration)
 
 
-def _checked_alpha(alpha):
+def _checked_alpha(alpha, name="alpha"):
     alpha = float(alpha)
     if not abs(alpha) <= 1e150:  # so that (pi alpha)^2 is a finite double
-        raise ValueError(f"alpha must be finite with |alpha| <= 1e150, got {alpha!r}")
+        raise ValueError(f"{name} must be finite with |{name}| <= 1e150, got {alpha!r}")
     return alpha
 
 
@@ -95,7 +91,7 @@ def pulse_for_target(alpha, duration_s):
     if j == math.inf:
         raise ValueError(f"duration = {duration_s!r} s is too short for alpha = {alpha!r}: "
                          "the exchange strength 2 pi alpha / duration overflows")
-    return constant_pulse(j, duration_s)
+    return PulseSpec(j, duration_s)
 
 
 def phase_from_pulse(pulse):

@@ -39,7 +39,7 @@ import numpy as np
 
 from .budget import SWEEP_AXES, Threshold, normalize_axis  # montecarlo.SWEEP_AXES stays public
 from .dephasing import DephasingSpec, flip_probability
-from .gates import PulseSpec, phase_from_pulse, pulse_for_target
+from .gates import PulseSpec, _checked_alpha, phase_from_pulse, pulse_for_target
 from .noise import _MAX_RADIUS, BLOCK, ControlNoiseSpec, draw_errors_block
 
 
@@ -62,6 +62,7 @@ class McConfig:
         if int(self.seed) != self.seed or not (0 <= self.seed < 2**64):
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "target_alpha", _checked_alpha(self.target_alpha, "target_alpha"))
         if self.dephasing is None:
             object.__setattr__(self, "dephasing", DephasingSpec(math.inf))
         if not (math.isfinite(self.sensitivity) and self.sensitivity >= 0.0):

@@ -154,16 +154,11 @@ def sample_pulse(rng, nominal, noise):
     """
     import numpy as np
 
+    from .gates import PulseSpec
+
     key = int(rng.integers(2**64, dtype=np.uint64))
     amp, shift, _ = draw_errors_block(key, 0, 1, nominal.duration_s, noise)
-    return realized_pulse(nominal, amp[0], shift[0])
-
-
-def realized_pulse(nominal, amp, shift):
-    """The pulse realized under errors (a, t): strength J (1+a), duration T+t."""
-    from .gates import constant_pulse
-
-    return constant_pulse(nominal.j_rad_per_s * (1.0 + amp), nominal.duration_s + shift)
+    return PulseSpec(nominal.j_rad_per_s * (1.0 + amp[0]), nominal.duration_s + shift[0])
 
 
 def integrated_snr(sigma_rel):

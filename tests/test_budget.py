@@ -50,6 +50,17 @@ class TestScalarBounds:
         assert budget.min_gate_time_from_jitter(240e-15, 1e-5) == pytest.approx(24e-9, rel=1e-12)
         assert budget.min_gate_time_from_jitter(0.0, 1e-5) == 0.0
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: budget.max_gate_time(1e-5, -1e-3), "t2_s must be >= 0, got -0.001"),
+        (lambda: budget.max_gate_time(1e-5, math.nan), "t2_s must be >= 0, got nan"),
+        (lambda: budget.min_gate_time_from_jitter(1e-12, 0.0), "eps_share must be > 0, got 0.0"),
+        (lambda: budget.min_gate_time_from_jitter(-1e-12, 1e-5),
+         "sigma_t_s must be >= 0, got -1e-12"),
+    ], ids=["negative-t2", "nan-t2", "zero-share", "negative-jitter"])
+    def test_gate_time_bounds_reject_bad_inputs_naming_them(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
     def test_required_bandwidth(self):
         assert budget.required_bandwidth(5e-9) == pytest.approx(2e8, rel=1e-12)
         assert budget.required_bandwidth(1.0) == 1.0

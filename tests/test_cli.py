@@ -186,6 +186,21 @@ class TestFeasibilityCommand:
                        "--out", str(tmp_path / "out")])
         assert rc == 2
 
+    @pytest.mark.parametrize("text, message", [
+        pytest.param("[technology]\nname =\nsigma_a = 1e-6\nsigma_t_seconds = 1e-14\n"
+                     "bw_low_hz = 0\nbw_high_hz = 1e12\n",
+                     "technology: technology name must be nonempty\n", id="empty-name"),
+        # configparser's own text follows, which may vary with the Python version
+        pytest.param("[platform]\nt2_seconds\n", "unparseable spec file: ", id="unparseable"),
+    ])
+    def test_bad_spec_file_is_input_error(self, tmp_path, capsys, text, message):
+        spec = tmp_path / "bad.spec"
+        spec.write_text(text, encoding="utf-8")
+        rc = cli.main(["feasibility", "--spec-file", str(spec), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not (tmp_path / "out").exists()
+
     def test_internal_error_maps_to_exit_1(self, tmp_path, capsys, monkeypatch):
         def boom(*args, **kwargs):
             raise RuntimeError("synthetic failure")

@@ -1,5 +1,7 @@
 """Unit tests for the dense two-spin linear algebra layer."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,12 @@ class TestKron:
         bad = np.array([[np.nan, 0], [0, 1]], dtype=complex)
         with pytest.raises(ValueError, match="finite"):
             core.kron(bad, core.IDENT_2)
+
+    @pytest.mark.parametrize("shape", [(2,), (2, 4), (2, 2, 2)])
+    def test_rejects_a_non_square_operand_naming_its_shape(self, shape):
+        with pytest.raises(ValueError, match=f"expected a square matrix, got shape "
+                                             f"{re.escape(str(shape))}"):
+            core.kron(np.zeros(shape), core.IDENT_2)
 
 
 class TestSpinDot:
@@ -145,6 +153,10 @@ class TestProcessFidelity:
         with pytest.raises(ValueError, match="unitary"):
             core.process_fidelity(np.eye(4) * 2.0, np.eye(4))
 
+    def test_rejects_unitaries_of_unequal_dimension(self):
+        with pytest.raises(ValueError, match="unitaries must have equal dimension"):
+            core.process_fidelity(core.IDENT_2, core.SWAP)
+
 
 class TestDensityFromPure:
     def test_basis_state(self):
@@ -167,6 +179,15 @@ class TestDensityFromPure:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="norm"):
             core.density_from_pure([1, 1, 0, 0])
+
+    def test_rejects_a_vector_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match=r"4-component state vector, got shape \(2,\)"):
+            core.density_from_pure([1, 0])
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, 1j * np.inf])
+    def test_rejects_nonfinite_entries(self, entry):
+        with pytest.raises(ValueError, match="state vector entries must be finite"):
+            core.density_from_pure([entry, 0, 0, 0])
 
 
 class TestDensityMatrixChecks:

@@ -110,6 +110,10 @@ class TestApplyChannel:
         with pytest.raises(ValueError, match="complete"):
             dephasing.QuantumChannel4(kraus=(0.5 * np.eye(4),))
 
+    def test_empty_kraus_set_rejected(self):
+        with pytest.raises(ValueError, match="at least one Kraus operator"):
+            dephasing.QuantumChannel4(kraus=())
+
 
 class TestEntanglementFidelity:
     def test_unitary_channel_reduces_to_process_fidelity(self):

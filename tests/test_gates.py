@@ -12,26 +12,26 @@ from helpers import expm_series
 
 
 class TestPulseSpec:
-    def test_constant_pulse(self):
-        p = gates.constant_pulse(2e9, 1e-9)
+    def test_a_pulse_is_a_strength_and_a_duration(self):
+        p = gates.PulseSpec(2e9, 1e-9)
         assert astuple(p) == (2e9, 1e-9)  # a strength and a duration, nothing more
 
     def test_rejects_nonpositive_duration(self):
         with pytest.raises(ValueError, match="duration"):
-            gates.constant_pulse(1e9, 0.0)
+            gates.PulseSpec(1e9, 0.0)
 
     def test_rejects_negative_strength(self):
         with pytest.raises(ValueError, match="strength"):
-            gates.constant_pulse(-1e9, 1e-9)
+            gates.PulseSpec(-1e9, 1e-9)
 
     def test_rejects_pulse_whose_area_overflows_naming_the_pulse(self):
         with pytest.raises(ValueError, match=r"area J T / 2 of the pulse J = 1e\+300 rad/s, "
                                              r"T = 1e\+300 s overflows"):
-            gates.constant_pulse(1e300, 1e300)
+            gates.PulseSpec(1e300, 1e300)
         # J T just below the largest double is a pulse; J T past it is not
-        assert gates.phase_from_pulse(gates.constant_pulse(1.7e308, 1.0)) == 0.85e308
+        assert gates.phase_from_pulse(gates.PulseSpec(1.7e308, 1.0)) == 0.85e308
         with pytest.raises(ValueError, match="overflows"):
-            gates.constant_pulse(1.7e308, 2.0)
+            gates.PulseSpec(1.7e308, 2.0)
 
     def test_takes_no_profile(self):
         with pytest.raises(TypeError, match="profile"):
@@ -70,15 +70,15 @@ class TestPhaseFromPulse:
     def test_half_swap_area(self):
         # angular frequency 2*pi GHz: the half-SWAP area needs T = pi / w
         w = 2 * math.pi * 1e9
-        p = gates.constant_pulse(w, math.pi / w)
+        p = gates.PulseSpec(w, math.pi / w)
         assert gates.phase_from_pulse(p) == pytest.approx(math.pi / 2, rel=1e-14)
 
     def test_zero_strength_gives_zero_phase(self):
-        assert gates.phase_from_pulse(gates.constant_pulse(0.0, 1e-9)) == 0.0
+        assert gates.phase_from_pulse(gates.PulseSpec(0.0, 1e-9)) == 0.0
 
     def test_piecewise_constant_profile_matches_constant(self):
         w, t = 3e9, 2e-9
-        const = gates.constant_pulse(w, t)
+        const = gates.PulseSpec(w, t)
         prof = gates.profile_pulse(tuple((f * t, w) for f in (0.0, 0.25, 0.5, 0.75, 1.0)))
         assert abs(gates.phase_from_pulse(prof) - gates.phase_from_pulse(const)) <= 1e-12
 
@@ -113,6 +113,11 @@ class TestExchangeUnitary:
     def test_zero_phase_is_identity(self):
         np.testing.assert_allclose(gates.exchange_unitary(0.0), np.eye(4), atol=1e-15)
 
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_theta(self, theta):
+        with pytest.raises(ValueError, match="theta must be finite"):
+            gates.exchange_unitary(theta)
+
     def test_pi_is_swap_up_to_global_phase(self):
         u = gates.exchange_unitary(math.pi)
         np.testing.assert_allclose(u, np.exp(-1j * math.pi / 4) * core.SWAP, atol=1e-14)
@@ -132,8 +137,8 @@ class TestExchangeUnitary:
 
     def test_area_only_dependence(self):
         w, t = 4e9, 1.5e-9
-        u1 = gates.exchange_unitary(gates.phase_from_pulse(gates.constant_pulse(w, t)))
-        u2 = gates.exchange_unitary(gates.phase_from_pulse(gates.constant_pulse(2 * w, t / 2)))
+        u1 = gates.exchange_unitary(gates.phase_from_pulse(gates.PulseSpec(w, t)))
+        u2 = gates.exchange_unitary(gates.phase_from_pulse(gates.PulseSpec(2 * w, t / 2)))
         assert core.max_abs(u1 - u2) <= 1e-12
 
     def test_profile_matches_segment_product(self):

@@ -14,7 +14,7 @@ import pytest
 
 from exchsim import core, dephasing, gates, montecarlo, noise
 from exchsim.montecarlo import BLOCK, SWEEP_AXES, McConfig, estimate_infidelity, sweep
-from exchsim.noise import ControlNoiseSpec, draw_errors_block, realized_pulse
+from exchsim.noise import ControlNoiseSpec, draw_errors_block
 
 T2 = 0.5e-3
 
@@ -122,6 +122,20 @@ class TestConfigValidation:
         cfg = make_config(n=BLOCK, **kwargs)
         result = estimate_infidelity(cfg)
         assert math.isfinite(result.mean_infidelity) and math.isfinite(result.stderr)
+        assert math.isfinite(montecarlo.analytic_infidelity(cfg))
+
+    # The rule of every alpha path (gates._checked_alpha): unchecked, a nan or
+    # inf target would score nan, and 1e300 give an analytic reference of inf.
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, 1e300, -2e150])
+    def test_rejects_a_target_alpha_outside_the_alpha_rule(self, alpha):
+        with pytest.raises(ValueError, match=r"target_alpha must be finite with "
+                                             r"\|target_alpha\| <= 1e150, got "):
+            replace(make_config(), target_alpha=alpha)
+
+    @pytest.mark.parametrize("alpha", [-0.5, 1e150, -1e150])
+    def test_a_negative_or_bounded_target_alpha_scores_finite(self, alpha):
+        cfg = replace(make_config(n=10, sigma_a=1e-3), target_alpha=alpha)
+        assert math.isfinite(estimate_infidelity(cfg).mean_infidelity)
         assert math.isfinite(montecarlo.analytic_infidelity(cfg))
 
     def test_rejects_bad_worker_count(self):
@@ -379,7 +393,8 @@ class TestSamplePathMatchesPublicOps:
         a, t, _ = draw_errors_block(cfg.seed, 0, cfg.n_samples, cfg.nominal.duration_s, eff_noise)
         values = []
         for i in range(cfg.n_samples):
-            pulse = realized_pulse(cfg.nominal, a[i], t[i])
+            pulse = gates.PulseSpec(cfg.nominal.j_rad_per_s * (1.0 + a[i]),
+                                    cfg.nominal.duration_s + t[i])
             u = gates.exchange_unitary(gates.phase_from_pulse(pulse))
             channel = dephasing.compose_channel_after_unitary(
                 dephasing.dephasing_channel(pulse.duration_s, cfg.dephasing), u
@@ -426,7 +441,8 @@ class TestSamplePathMatchesPublicOps:
                            noise=noise, dephasing=spec, sensitivity=sensitivity)
             result = estimate_infidelity(cfg)
             a, t, rejected = draw_errors_block(seed, 0, 1, nominal.duration_s, eff_noise)
-            pulse = realized_pulse(nominal, a[0], t[0])
+            pulse = gates.PulseSpec(nominal.j_rad_per_s * (1.0 + a[0]),
+                                    nominal.duration_s + t[0])
             noise_channel = (
                 dephasing.dephasing_channel(pulse.duration_s, spec)
                 if spec is not None

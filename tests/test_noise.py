@@ -14,7 +14,7 @@ def _rng(seed=0):
     return np.random.default_rng(seed)
 
 
-NOMINAL = gates.constant_pulse(2e9, 1e-9)
+NOMINAL = gates.PulseSpec(2e9, 1e-9)
 
 
 class TestControlNoiseSpec:
@@ -48,7 +48,7 @@ class TestSamplePulse:
     def test_realized_profile_pulse_scales_area_and_duration(self, amp, shift):
         prof = gates.profile_pulse(((0.0, 1e9), (0.5e-9, 2e9), (1e-9, 1e9)))
         theta0, duration = gates.phase_from_pulse(prof), prof.duration_s
-        realized = noise.realized_pulse(prof, amp, shift)
+        realized = gates.PulseSpec(prof.j_rad_per_s * (1.0 + amp), duration + shift)
         assert realized.duration_s == duration + shift
         assert gates.phase_from_pulse(realized) == pytest.approx(
             theta0 * (1.0 + amp) * (1.0 + shift / duration), rel=1e-15, abs=0.0)
@@ -74,7 +74,8 @@ class TestSamplePulse:
         for seed in range(40):
             key = int(_rng(seed).integers(2**64, dtype=np.uint64))
             a, t, _ = noise.draw_errors_block(key, 0, 1, nominal.duration_s, spec)
-            expected = noise.realized_pulse(nominal, a[0], t[0])
+            expected = gates.PulseSpec(nominal.j_rad_per_s * (1.0 + a[0]),
+                                       nominal.duration_s + t[0])
             assert noise.sample_pulse(_rng(seed), nominal, spec) == expected
 
 
@@ -268,6 +269,19 @@ class TestDrawErrorsBlock:
         with pytest.raises(noise.RejectedSampleError,
                            match=f"sample {2 * BLOCK + j} after 0 resamples"):
             noise.draw_errors_block(self.SEED, 2, 64, self.T, spec)
+
+    def test_the_last_allowed_redraw_can_clear_the_block(self, monkeypatch):
+        # With MAX_RESAMPLES = 2, seed 6's first 16 samples hold two that are
+        # physical only at attempt 2, so the draw returns after its loop.
+        monkeypatch.setattr(noise, "MAX_RESAMPLES", 2)
+        spec, size = self.SPECS["gaussian-rejections"], 16
+        amp, shift, rejected = noise.draw_errors_block(6, 0, size, self.T, spec)
+        assert np.count_nonzero(rejected == 2) == 2
+        for j in range(size):
+            ref_amp, ref_shift, ref_rejected = scalar_reference_draw(6, j, self.T, spec)
+            assert amp[j] == pytest.approx(ref_amp, rel=1e-12, abs=0.0)
+            assert shift[j] == pytest.approx(ref_shift, rel=1e-12, abs=0.0)
+            assert rejected[j] == ref_rejected
 
     def test_max_radius_is_the_ziggurat_bound(self):
         # numpy's random_standard_normal returns |z| < R below its tail start

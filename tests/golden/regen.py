@@ -1,5 +1,6 @@
 """Rewrite digests.json from the cases of cases.py, run against src/ of this checkout,
-and print which cases it added, removed or changed against the file it replaces.
+and print which cases it added, removed or changed against the file it replaces, with
+the recorded fields that moved for each changed case.
 
     python tests/golden/regen.py
 """
@@ -16,8 +17,11 @@ old = json.loads(cases.DIGESTS.read_text(encoding="utf-8")) if cases.DIGESTS.exi
 records = {name: cases.run(argv) for name, argv in cases.CASES.items()}
 cases.DIGESTS.write_text(json.dumps(records, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 print(f"wrote {len(records)} records to {cases.DIGESTS}")
-for label, names in (("added", records.keys() - old.keys()),
-                     ("removed", old.keys() - records.keys()),
-                     ("changed", {n for n in records.keys() & old.keys() if records[n] != old[n]})):
-    for name in sorted(names):
-        print(f"{label}: {name}")
+for name in sorted(records.keys() - old.keys()):
+    print(f"added: {name}")
+for name in sorted(old.keys() - records.keys()):
+    print(f"removed: {name}")
+for name in sorted(records.keys() & old.keys()):
+    moved = [field for field in records[name] if records[name][field] != old[name].get(field)]
+    if moved:
+        print(f"changed: {name} ({', '.join(sorted(moved))})")

@@ -38,6 +38,12 @@ MC = ["--alpha", "0.5", "--sigma-a", "1e-3", "--sigma-t", "1e-12", "--n", N,
 UNIFORM = ["--distribution", "uniform"]
 T2 = ["--t2", "5e-4"]
 W2 = ["--workers", "2"]
+MAX_SEED = str(2**64 - 1)
+# The sweep-dephased benchmark argv: uniform noise, one pass over four blocks
+# for five t2 rows.
+SWEEP_DEPHASED = ["sweep", "--axis", "t2", "--values", "5e-5,1e-4,5e-4,1e-3,5e-3",
+                  "--sigma-a", "1e-3", "--sigma-t", "1e-11", "--distribution", "uniform",
+                  "--n", N, "--seed", MAX_SEED]
 AXIS_VALUES = {"sigma_a": "1e-4,1e-3,1e-2", "sigma_t": "1e-13,1e-12,1e-11",
                "t2": "5e-5,5e-4,inf", "target_alpha": "0.25,0.5,1.0",
                "epsilon": "1e-5,1e-4"}
@@ -59,6 +65,11 @@ CASES = {
     "mc-redraws": ["mc", *MC, "--sigma-t", "4e-9", *W2, "--out", "out"],
     "mc-redraws-uniform-t2": ["mc", *MC, "--sigma-t", "4e-9", *UNIFORM, *T2, "--out", "out"],
     "mc-one-sample": ["mc", *MC, "--n", "1", "--out", "out"],
+    "mc-max-seed": ["mc", "--alpha", "0.5", "--sigma-a", "1e-3", "--sigma-t", "1e-12",
+                    "--n", N, "--seed", MAX_SEED, "--out", "out"],
+    **{f"sweep-dephased-workers-{workers}": [*SWEEP_DEPHASED, "--workers", workers,
+                                             "--out", "out"]
+       for workers in ("1", "2")},
     **{f"sweep-{axis}": ["sweep", *MC, "--axis", axis, "--values", values, "--out", "out"]
        for axis, values in AXIS_VALUES.items()},
     **{f"sweep-{axis}-uniform-t2-workers-2": ["sweep", *MC, *UNIFORM, *T2, *W2, "--axis", axis,
@@ -118,6 +129,10 @@ CASES = {
     "feasibility-decoherence-ceiling-underflow": ["feasibility", "--t2", "1e-320", "--sensitivity",
                                                   "1", "--sigma-a", "1e-4", "--sigma-t", "1e-12",
                                                   "--out", "out"],
+    "feasibility-strict-bandwidth-ceiling-underflow": ["feasibility", "--t2", "1e-320",
+                                                       "--sensitivity", "1", "--sigma-a", "0",
+                                                       "--sigma-t", "0", "--strict-bandwidth",
+                                                       "--out", "out"],
     "help": ["--help"],
     **{f"help-{command}": [command, "--help"] for command in COMMANDS},
     "version": ["--version"],

@@ -236,24 +236,19 @@ def estimate_infidelity(cfg, n_workers=1):
 def analytic_infidelity(cfg):
     """Small-noise prediction: (3/16) E[dtheta^2] plus the dephasing deficit.
 
-    E[dtheta^2] combines any systematic pulse-area offset from the target
-    with the quasi-static amplitude and timing variances; the dephasing term
-    is 1 - (1-p1)(1-p2) = p1 + p2 - p1 p2 at the nominal duration.
+    E[dtheta^2] = offset^2 + A^2 + J^2 combines the systematic pulse-area
+    offset from the target with the quasi-static amplitude and timing terms
+    A = theta (sensitivity sigma_a) and J = theta (sigma_t / T), each squared
+    as a product.  McConfig's overflow bound keeps A and J finite, so the
+    result is finite, or inf where a square overflows, never nan.  The
+    dephasing term is
+    1 - (1-p1)(1-p2) = p1 + p2 - p1 p2 at the nominal duration.
     """
     theta = phase_from_pulse(cfg.nominal)
     offset = theta - math.pi * cfg.target_alpha
-    amp = cfg.sensitivity * cfg.noise.sigma_a
-    jitter = cfg.noise.sigma_t_s / cfg.nominal.duration_s
-    try:
-        coherent = (3.0 / 16.0) * (offset**2 + theta**2 * (amp**2 + jitter**2))
-    except OverflowError:  # a float ** raises where x * x returns inf
-        coherent = math.nan
-    if not math.isfinite(coherent):
-        # A square left double range, or theta^2 underflowed to 0 against an
-        # infinite variance: square theta amp and theta jitter, which McConfig
-        # keeps finite, so the reference is finite or inf, never nan.
-        amp, jitter = theta * amp, theta * jitter
-        coherent = (3.0 / 16.0) * (offset * offset + amp * amp + jitter * jitter)
+    amp = theta * (cfg.sensitivity * cfg.noise.sigma_a)
+    jitter = theta * (cfg.noise.sigma_t_s / cfg.nominal.duration_s)
+    coherent = (3.0 / 16.0) * (offset * offset + amp * amp + jitter * jitter)
     p1 = flip_probability(cfg.nominal.duration_s, cfg.dephasing.t2_q1_s)
     p2 = flip_probability(cfg.nominal.duration_s, cfg.dephasing.t2_q2_s)
     return coherent + (p1 + p2 - p1 * p2)

@@ -572,18 +572,6 @@ class TestSweepRowsEqualEstimates:
             assert hexed(p.result) == hexed(row)
 
 
-def parent_analytic_infidelity(cfg):
-    """analytic_infidelity as one expression, where it raises no error and is finite."""
-    theta = gates.phase_from_pulse(cfg.nominal)
-    offset = theta - math.pi * cfg.target_alpha
-    rel_var = (cfg.sensitivity * cfg.noise.sigma_a) ** 2 + (
-        cfg.noise.sigma_t_s / cfg.nominal.duration_s) ** 2
-    spec = cfg.dephasing
-    p1 = dephasing.flip_probability(cfg.nominal.duration_s, spec.t2_q1_s)
-    p2 = dephasing.flip_probability(cfg.nominal.duration_s, spec.t2_q2_s)
-    return (3.0 / 16.0) * (offset**2 + theta**2 * rel_var) + (p1 + p2 - p1 * p2)
-
-
 class TestAnalyticPrediction:
     def test_combines_coherent_and_dephasing_terms(self):
         cfg = make_config(n=10, sigma_a=1e-3, sigma_t=5e-12, t2=T2, duration=5e-9)
@@ -609,17 +597,6 @@ class TestAnalyticPrediction:
         assert result.mean_infidelity == pytest.approx(
             gates.gate_error_vs_phase(offset), rel=1e-9
         )
-
-    @pytest.mark.parametrize("kwargs", [
-        {"sigma_a": 1e-3, "sigma_t": 5e-12, "t2": T2},
-        {"alpha": 1.7, "duration": 3e-8, "sigma_a": 2e-4, "sensitivity": 3.0, "t2": 1e-6},
-        {"alpha": 1e10, "sigma_a": 7e140, "sigma_t": 1e-300},
-    ])
-    def test_finite_values_keep_the_bytes_of_one_expression(self, kwargs):
-        cfg = make_config(n=10, **kwargs)
-        expected = parent_analytic_infidelity(cfg)
-        assert math.isfinite(expected)
-        assert montecarlo.analytic_infidelity(cfg).hex() == expected.hex()
 
     # A relative sigma whose square leaves double range against a tiny theta:
     # the squares of theta * sigma stay finite.

@@ -178,7 +178,9 @@ def feasibility(platform, tech, epsilon, strict_bandwidth=False):
     if strict_bandwidth:
         window_low = max(window_low, 1.0 / tech.bw_high_hz)
         if not bandwidth_ok:
-            factors["bandwidth"] = bw_needed / tech.bw_high_hz
+            # inf at an inf need, as the jitter factor at a zero ceiling (not inf / inf)
+            factors["bandwidth"] = (bw_needed / tech.bw_high_hz if bw_needed < math.inf
+                                    else math.inf)
             limiting.append("bandwidth")
 
     feasible = window_low < t_max

@@ -149,6 +149,21 @@ class TestFeasibility:
         assert report.improvement_factors["jitter"] == math.inf
         assert report.required_bandwidth_hz == math.inf
 
+    # epsilon * T2 underflows to 0, so 1/T is inf: a finite band and the
+    # default band [0, inf] of a custom technology, with and without jitter
+    @pytest.mark.parametrize("bw_high", [1e12, math.inf])
+    @pytest.mark.parametrize("sigma_t", [0.0, 1e-12])
+    def test_zero_decoherence_ceiling_has_infinite_bandwidth_factor(self, bw_high, sigma_t):
+        tech = budget.TechnologySpec(
+            name="t", sigma_a=0.0, sigma_t_s=sigma_t, bw_low_hz=0.0, bw_high_hz=bw_high
+        )
+        platform = budget.PlatformSpec(t2_s=1e-320, sensitivity=1.0)
+        report = budget.feasibility(platform, tech, 1e-5, strict_bandwidth=True)
+        assert report.t_max_s == 0.0 and report.required_bandwidth_hz == math.inf
+        assert not report.feasible and not report.bandwidth_ok
+        assert "bandwidth" in report.limiting_constraints
+        assert report.improvement_factors["bandwidth"] == math.inf
+
     def test_amplitude_at_threshold_is_infeasible(self):
         tech = budget.TechnologySpec(
             name="edge", sigma_a=1e-5, sigma_t_s=0.0, bw_low_hz=0.0, bw_high_hz=1e12

@@ -868,7 +868,9 @@ FUZZ_COMMANDS = ALPHA_COMMANDS + [
      "--alpha=1e-300", "--n=20"],
     ["mc", "--alpha=1e-300", "--duration=1", "--sigma-a=1e154", "--sigma-t=1e154",
      "--n=20000"],
-    ["mc", "--alpha=1e-300", "--duration=1", "--sigma-a=1e301", "--sigma-t=1e301", "--n=20"]]
+    ["mc", "--alpha=1e-300", "--duration=1", "--sigma-a=1e301", "--sigma-t=1e301", "--n=20"],
+    ["feasibility", "--t2=1e-320", "--sensitivity=1", "--sigma-a=0", "--sigma-t=0",
+     "--strict-bandwidth"]]
 
 
 # Values for the pairs of flags: FUZZ_VALUES and magnitudes whose products or

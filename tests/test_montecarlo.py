@@ -1,12 +1,14 @@
 """Tests for the Monte Carlo infidelity estimator and parameter sweeps."""
 
 import math
+import random
 import re
 import threading
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -229,6 +231,26 @@ class TestEstimator:
         small = estimate_infidelity(make_config(n=4_000, seed=6, sigma_a=1e-3))
         large = estimate_infidelity(make_config(n=16_000, seed=6, sigma_a=1e-3))
         assert small.stderr / large.stderr == pytest.approx(2.0, rel=0.2)
+
+
+    # The 0.05% and 99.95% quantiles of chi^2(199) / 199: the sample variance
+    # of 200 standard normal z scores lies between them in 99.9% of runs.
+    CHI2_199_BOUNDS = (0.7026, 1.3631)
+
+    @pytest.mark.parametrize("distribution, sigma_t", [("gaussian", 1e-12),
+                                                       ("uniform", 1e-11)])
+    def test_stderr_is_calibrated(self, distribution, sigma_t):
+        # z = (mean - analytic) / stderr over 200 seeds has unit variance
+        # when stderr is the standard deviation of the mean
+        scores = []
+        for seed in range(200):
+            cfg = make_config(n=2000, seed=seed, sigma_a=1e-3, sigma_t=sigma_t,
+                              distribution=distribution)
+            result = estimate_infidelity(cfg)
+            scores.append((result.mean_infidelity - montecarlo.analytic_infidelity(cfg))
+                          / result.stderr)
+        low, high = self.CHI2_199_BOUNDS
+        assert low <= np.var(scores, ddof=1) <= high
 
 
 class TestDeterminism:
@@ -572,7 +594,70 @@ class TestSweepRowsEqualEstimates:
             assert hexed(p.result) == hexed(row)
 
 
+def exact_analytic_infidelity(cfg):
+    """analytic_infidelity's formula in exact rationals, from the same doubles:
+    theta, pi alpha, the config's fields and the flip probabilities."""
+    theta = Fraction(gates.phase_from_pulse(cfg.nominal))
+    offset = theta - Fraction(math.pi * cfg.target_alpha)
+    amp = theta * Fraction(cfg.sensitivity) * Fraction(cfg.noise.sigma_a)
+    jitter = theta * Fraction(cfg.noise.sigma_t_s) / Fraction(cfg.nominal.duration_s)
+    p1, p2 = (Fraction(dephasing.flip_probability(cfg.nominal.duration_s, t2))
+              for t2 in (cfg.dephasing.t2_q1_s, cfg.dephasing.t2_q2_s))
+    return Fraction(3, 16) * (offset * offset + amp * amp + jitter * jitter) + p1 + p2 - p1 * p2
+
+
+def log_uniform(rng, low, high):
+    return 10.0 ** rng.uniform(low, high)
+
+
+def random_configs(count, seed):
+    """Seeded configs in the estimator's range: detuned or matched pulses, noise
+    that may be absent, and one or two finite T2s or none."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        alpha, t2 = log_uniform(rng, -3, 1), rng.choice([math.inf, log_uniform(rng, -7, -2)])
+        detuning = rng.choice([0.0, log_uniform(rng, -8, -1)])
+        cfg = make_config(alpha=alpha, duration=log_uniform(rng, -10, -6),
+                          sigma_a=rng.choice([0.0, log_uniform(rng, -8, -1)]),
+                          sigma_t=rng.choice([0.0, log_uniform(rng, -15, -9)]),
+                          sensitivity=log_uniform(rng, -1, 1))
+        yield replace(cfg, nominal=gates.pulse_for_target(alpha * (1.0 + detuning),
+                                                          cfg.nominal.duration_s),
+                      dephasing=dephasing.DephasingSpec(t2, rng.choice([t2, 1e-4])))
+
+
 class TestAnalyticPrediction:
+    # The measured worst case is 3.2 ulp.
+    MAX_ULPS = 6
+
+    def test_within_a_few_ulps_of_the_exact_value(self):
+        named = [make_config(sigma_a=1e-3, sigma_t=5e-12, t2=T2),
+                 make_config(alpha=1.7, duration=3e-8, sigma_a=2e-4, sensitivity=3.0, t2=1e-6),
+                 make_config(alpha=1e10, sigma_a=7e140, sigma_t=1e-300)]
+        for cfg in [*named, *random_configs(1000, seed=30)]:
+            exact = exact_analytic_infidelity(cfg)
+            error = abs(Fraction(montecarlo.analytic_infidelity(cfg)) - exact)
+            assert error <= self.MAX_ULPS * Fraction(math.ulp(float(exact))), cfg
+
+    def test_finite_or_inf_across_double_range(self):
+        # log-uniform inputs across double range; where 0 * inf could arise
+        # (theta^2 underflowing against a square that overflows), none is formed
+        rng = random.Random(31)
+        accepted = 0
+        for _ in range(2000):
+            alpha, duration = log_uniform(rng, -300, 150), log_uniform(rng, -300, 300)
+            try:
+                cfg = make_config(alpha=alpha, duration=duration,
+                                  sigma_a=log_uniform(rng, -300, 300),
+                                  sigma_t=log_uniform(rng, -300, 300),
+                                  t2=log_uniform(rng, -300, 300))
+            except ValueError:  # an overflowing pulse or draw
+                continue
+            accepted += 1
+            value = montecarlo.analytic_infidelity(cfg)
+            assert value >= 0.0 and not math.isnan(value), cfg
+        assert accepted >= 500
+
     def test_combines_coherent_and_dephasing_terms(self):
         cfg = make_config(n=10, sigma_a=1e-3, sigma_t=5e-12, t2=T2, duration=5e-9)
         theta = math.pi / 2

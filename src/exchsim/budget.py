@@ -6,12 +6,17 @@ satisfies the joint budget
     sensitivity * sigma_a  +  sigma_t / T  <  epsilon      (control accuracy)
     T  <  epsilon * T2                                     (decoherence)
 
-which yields a closed-form feasible window (t_min, t_max).  The amplitude
-term is duration-independent, so the two constraints are enforced jointly
-rather than via a fixed epsilon split (the most permissive reading of the
-combined budget).  The control channel must also cover a bandwidth of at
-least 1/T; that requirement is reported, and gates feasibility only in
-strict mode, since band-integrated noise figures already reflect it.
+which yields a closed-form feasible window (t_min, t_max).  The first bound is
+in amplitude units, the second in probability units (T / T2 is, to leading
+order, the dephasing infidelity), so the window bounds control accuracy, not
+gate infidelity.  This is the coherent-error (worst-case) convention: a unitary
+error's diamond-norm rate grows as the square root of its infidelity (Sanders,
+Wallman & Emerson, NJP 18, 012002 (2016); Kueng et al., PRL 117, 170502 (2016)).
+The amplitude term is duration-independent, so the two constraints are enforced
+jointly rather than via a fixed epsilon split (the most permissive reading of
+the combined budget).  The control channel must also cover a bandwidth of at
+least 1/T; that requirement is reported, and gates feasibility only in strict
+mode, since band-integrated noise figures already reflect it.
 """
 
 import math
@@ -65,7 +70,7 @@ class TechnologySpec:
 
 @dataclass(frozen=True)
 class Threshold:
-    """Fault-tolerance error threshold, a per-gate error rate in (0, 1)."""
+    """Fault-tolerance threshold epsilon in (0, 1) on control accuracy, not on infidelity."""
 
     epsilon: float
 
@@ -177,8 +182,7 @@ def feasibility(platform, tech, epsilon, strict_bandwidth=False):
     window_low = t_min
     if strict_bandwidth:
         window_low = max(window_low, 1.0 / tech.bw_high_hz)
-        if not bandwidth_ok:
-            # inf at an inf need, as the jitter factor at a zero ceiling (not inf / inf)
+        if not bandwidth_ok:  # inf at an inf need, not inf / inf: as the jitter factor
             factors["bandwidth"] = (bw_needed / tech.bw_high_hz if bw_needed < math.inf
                                     else math.inf)
             limiting.append("bandwidth")

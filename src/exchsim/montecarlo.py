@@ -236,13 +236,10 @@ def estimate_infidelity(cfg, n_workers=1):
 def analytic_infidelity(cfg):
     """Small-noise prediction: (3/16) E[dtheta^2] plus the dephasing deficit.
 
-    E[dtheta^2] = offset^2 + A^2 + J^2 combines the systematic pulse-area
-    offset from the target with the quasi-static amplitude and timing terms
-    A = theta (sensitivity sigma_a) and J = theta (sigma_t / T), each squared
-    as a product.  McConfig's overflow bound keeps A and J finite, so the
-    result is finite, or inf where a square overflows, never nan.  The
-    dephasing term is
-    1 - (1-p1)(1-p2) = p1 + p2 - p1 p2 at the nominal duration.
+    E[dtheta^2] = offset^2 + A^2 + J^2, with the pulse-area offset from the
+    target, A = theta (sensitivity sigma_a) and J = theta (sigma_t / T), each
+    squared as a product: McConfig keeps A and J finite, so this is finite or
+    inf, never nan.  The dephasing term is p1 + p2 - p1 p2 at the nominal duration.
     """
     theta = phase_from_pulse(cfg.nominal)
     offset = theta - math.pi * cfg.target_alpha

@@ -182,7 +182,7 @@ def feasibility(platform, tech, epsilon, strict_bandwidth=False):
     window_low = t_min
     if strict_bandwidth:
         window_low = max(window_low, 1.0 / tech.bw_high_hz)
-        if not bandwidth_ok:  # inf at an inf need, not inf / inf: as the jitter factor
+        if not bandwidth_ok:  # an inf need gives inf, not inf / inf, as the jitter factor does
             factors["bandwidth"] = (bw_needed / tech.bw_high_hz if bw_needed < math.inf
                                     else math.inf)
             limiting.append("bandwidth")

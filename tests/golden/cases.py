@@ -1,8 +1,9 @@
 """The byte-identity corpus: CLI argv cases and the digests of what each one writes.
 
 Each case runs cli.main in process, from a fresh temporary working directory
-that holds SPEC_FILE as spec.ini, with a relative --out, EXCHSIM_CATALOG unset
-and COLUMNS=80 (argparse wraps help and usage text to the terminal width).
+that holds the spec files of FIXTURES, with a relative --out, COLUMNS=80
+(argparse wraps help and usage text to the terminal width) and EXCHSIM_CATALOG
+unset unless the case's ENV entry sets it.
 Its record is the exit code (argparse's SystemExit status for help, version
 and usage errors) and the SHA-256 of stdout, stderr, each primary output, and
 the manifest's parameters and outputs (the rest of a manifest records the host
@@ -31,6 +32,22 @@ SPEC_FILE = (
     "[technology]\nname = homebrew\nsigma_a = 1e-6\nsigma_t_seconds = 1e-14\n"
     "bw_low_hz = 0\nbw_high_hz = 1e12\n\n[threshold]\nepsilon = 1e-5\n"
 )
+TECHNOLOGY = SPEC_FILE.split("\n\n")[1] + "\n"  # the [technology] section of SPEC_FILE
+# file name -> the bytes the case directory holds under it
+FIXTURES = {
+    "spec.ini": SPEC_FILE.encode(),
+    "latin-1.ini": SPEC_FILE.replace("homebrew", "caf\xe9").encode("latin-1"),
+    "two-technologies.ini": (SPEC_FILE + "\n" + TECHNOLOGY.replace("[technology]", "[technology.b]")
+                             .replace("homebrew", "second")).encode(),
+    "empty-name.ini": TECHNOLOGY.replace("homebrew", "").encode(),
+    "not-a-number.ini": TECHNOLOGY.replace("1e-6", "tiny").encode(),
+    "nan.ini": TECHNOLOGY.replace("1e-6", "nan").encode(),
+    "unknown-key.ini": b"[threshold]\nepsilon = 1e-5\ncolour = blue\n",
+    "missing-key.ini": b"[platform]\nt2_seconds = 1e-3\n",
+    "unparseable.ini": b"t2_seconds = 1e-3\n",
+    "unknown-section.ini": b"[bogus]\n",
+    "collision.ini": TECHNOLOGY.replace("homebrew", "electrical-pulse-generator").encode(),
+}
 
 N = str(3 * BLOCK + 17)  # four blocks, the last one ragged
 MC = ["--alpha", "0.5", "--sigma-a", "1e-3", "--sigma-t", "1e-12", "--n", N,
@@ -133,6 +150,31 @@ CASES = {
                                                        "--sensitivity", "1", "--sigma-a", "0",
                                                        "--sigma-t", "0", "--strict-bandwidth",
                                                        "--out", "out"],
+    "feasibility-no-jitter-ceiling-underflow": ["feasibility", "--t2", "1e-320", "--sensitivity",
+                                                "1", "--sigma-a", "0", "--sigma-t", "0",
+                                                "--out", "out"],
+    "catalog-env-var": ["catalog"],
+    "bad-feasibility-spec-file-not-utf8": ["feasibility", "--spec-file", "latin-1.ini",
+                                           "--out", "out"],
+    "bad-feasibility-unknown-platform": [*FEASIBILITY[:2], "bogus", "--tech",
+                                         "electrical-pulse-generator", "--out", "out"],
+    "bad-feasibility-spec-file-two-technologies": ["feasibility", "--spec-file",
+                                                   "two-technologies.ini", "--out", "out"],
+    "bad-gate-no-error": ["gate", "--alpha", "0.5"],
+    "bad-sweep-non-numeric-value": ["sweep", *MC, "--axis", "sigma_a", "--values", "1e-3,x",
+                                    "--out", "out"],
+    "bad-sweep-unknown-axis": ["sweep", *MC, "--axis", "voltage", "--values", "1", "--out", "out"],
+    "bad-feasibility-t2-zero": ["feasibility", "--t2", "0", "--sensitivity", "1", "--tech",
+                                "electrical-pulse-generator", "--out", "out"],
+    "bad-feasibility-negative-sensitivity": ["feasibility", "--t2", "1e-3", "--sensitivity=-1",
+                                             "--tech", "electrical-pulse-generator",
+                                             "--out", "out"],
+    "bad-feasibility-epsilon-one": [*FEASIBILITY, "--tech", "electrical-pulse-generator",
+                                    "--epsilon", "1"],
+    **{f"bad-catalog-{fixture[:-4]}": ["catalog", "--file", fixture]
+       for fixture in ("empty-name.ini", "not-a-number.ini", "nan.ini", "unknown-key.ini",
+                       "missing-key.ini", "unparseable.ini", "unknown-section.ini",
+                       "collision.ini")},
     "help": ["--help"],
     **{f"help-{command}": [command, "--help"] for command in COMMANDS},
     "version": ["--version"],
@@ -154,6 +196,8 @@ CASES = {
     "help-before-unknown-command": ["--help", "bogus"],
     "usage-unknown-command-before-command": ["bogus", "mc"],
 }
+# The environment variables a case sets, by case name.
+ENV = {"catalog-env-var": {cli.CATALOG_ENV_VAR: "spec.ini"}}
 
 
 def _sha256(data):
@@ -162,22 +206,24 @@ def _sha256(data):
 
 @contextlib.contextmanager
 def _fresh_directory():
-    """Work in a new temporary directory holding spec.ini, with EXCHSIM_CATALOG
+    """Work in a new temporary directory holding FIXTURES, with EXCHSIM_CATALOG
     unset and COLUMNS=80."""
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, {"COLUMNS": "80"}):
         os.environ.pop(cli.CATALOG_ENV_VAR, None)
         try:
             os.chdir(tmp)
-            Path("spec.ini").write_text(SPEC_FILE, encoding="utf-8")
+            for name, data in FIXTURES.items():
+                Path(name).write_bytes(data)
             yield Path(tmp)
         finally:
             os.chdir(cwd)
 
 
-def run(argv):
-    """The record of one argv: its exit code and the digests of what it wrote."""
-    with _fresh_directory() as tmp:
+def run(name):
+    """The record of the case name: its exit code and the digests of what it wrote."""
+    argv = CASES[name]
+    with _fresh_directory() as tmp, mock.patch.dict(os.environ, ENV.get(name, {})):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:

@@ -14,7 +14,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "src"))
 import cases  # noqa: E402  (after src/ is on the path)
 
 old = json.loads(cases.DIGESTS.read_text(encoding="utf-8")) if cases.DIGESTS.exists() else {}
-records = {name: cases.run(argv) for name, argv in cases.CASES.items()}
+records = {name: cases.run(name) for name in cases.CASES}
 cases.DIGESTS.write_text(json.dumps(records, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 print(f"wrote {len(records)} records to {cases.DIGESTS}")
 for name in sorted(records.keys() - old.keys()):

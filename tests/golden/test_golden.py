@@ -17,4 +17,4 @@ def test_the_recorded_cases_are_the_table():
 
 @pytest.mark.parametrize("name", sorted(cases.CASES))
 def test_case_reproduces_its_digests(name):
-    assert cases.run(cases.CASES[name]) == RECORDS[name]
+    assert cases.run(name) == RECORDS[name]

@@ -99,7 +99,8 @@ class FeasibilityReport:
     decoherence ceiling.  jitter_floor_s = sigma_t / epsilon is the duration
     floor from jitter alone, reported so the threshold dependence of the
     timing verdict stays visible.  Improvement factors are exact ratios and
-    equal 1.0 for non-limiting constraints.
+    equal 1.0 for non-limiting constraints; decoherence limits, with factor
+    inf, only when epsilon * T2 underflows to 0.
     """
 
     feasible: bool
@@ -174,6 +175,9 @@ def feasibility(platform, tech, epsilon, strict_bandwidth=False):
     if tech.sigma_t_s > 0.0 and jitter_bound >= t_max:
         factors["jitter"] = jitter_bound / t_max if t_max > 0.0 else math.inf
         limiting.append("jitter")
+    if t_max == 0.0:  # epsilon T2 underflowed: no duration fits under the ceiling
+        factors["decoherence"] = math.inf
+        limiting.append("decoherence")
 
     # inf at a zero duration: t_min is 0 when sigma_t is, and t_max when epsilon T2 underflows
     bw_needed, bw_at_t_min = (required_bandwidth(t) if t > 0.0 else math.inf

@@ -149,6 +149,24 @@ class TestFeasibility:
         assert report.improvement_factors["jitter"] == math.inf
         assert report.required_bandwidth_hz == math.inf
 
+    # epsilon * T2 underflows to 0: decoherence is named with an inf factor, in
+    # CONSTRAINTS order among whatever else limits, also where nothing else does
+    @pytest.mark.parametrize("t2, epsilon, sigma_a, sigma_t, strict, limiting", [
+        (1e-320, 1e-5, 0.0, 0.0, False, ("decoherence",)),
+        (5e-4, 5e-324, 0.0, 0.0, False, ("decoherence",)),
+        (1e-320, 1e-5, 1e-4, 1e-12, False, ("amplitude", "jitter", "decoherence")),
+        (1e-320, 1e-5, 0.0, 0.0, True, ("decoherence", "bandwidth"))])
+    def test_zero_decoherence_ceiling_names_decoherence(self, t2, epsilon, sigma_a, sigma_t,
+                                                        strict, limiting):
+        tech = budget.TechnologySpec(
+            name="t", sigma_a=sigma_a, sigma_t_s=sigma_t, bw_low_hz=0.0, bw_high_hz=1e12
+        )
+        report = budget.feasibility(budget.PlatformSpec(t2_s=t2, sensitivity=1.0), tech, epsilon,
+                                    strict_bandwidth=strict)
+        assert report.t_max_s == 0.0 and not report.feasible
+        assert report.limiting_constraints == limiting
+        assert report.improvement_factors["decoherence"] == math.inf
+
     # epsilon * T2 underflows to 0, so 1/T is inf: a finite band and the
     # default band [0, inf] of a custom technology, with and without jitter
     @pytest.mark.parametrize("bw_high", [1e12, math.inf])

@@ -101,7 +101,8 @@ class TestFeasibilityCommand:
         report = json.loads(read_bytes(tmp_path / "out" / "feasibility.json"))
         assert report["t_max_s"] == 0.0
         assert report["improvement_factors"]["jitter"] == "inf"
-        assert report["limiting_constraints"] == ["amplitude", "jitter"]
+        assert report["limiting_constraints"] == ["amplitude", "jitter", "decoherence"]
+        assert report["improvement_factors"]["decoherence"] == "inf"
 
     def test_report_files_byte_identical_across_runs(self, tmp_path, capsys):
         args = ["feasibility", "--platform", "si-spin", "--tech",

@@ -128,12 +128,13 @@ def gate_error_vs_phase(delta_theta):
     Closed form (3/8)(1 - cos delta_theta), independent of theta; the
     leading order is (3/16) delta_theta^2.  Even and 2*pi-periodic.
     Evaluated as (3/4) sin^2(delta_theta/2), which is the same function
-    without cancellation at small arguments.
+    without cancellation at small arguments, squared as a product.
     """
     delta_theta = float(delta_theta)
     if not math.isfinite(delta_theta):
         raise ValueError("delta_theta must be finite")
-    return 0.75 * math.sin(0.5 * delta_theta) ** 2
+    s = math.sin(0.5 * delta_theta)
+    return 0.75 * (s * s)
 
 
 def relative_error_to_phase_error(theta, dj_over_j, dt_over_t):

@@ -226,6 +226,22 @@ class TestGateErrorVsPhase:
                 gates.gate_error_vs_phase(d + 2 * math.pi), abs=1e-12
             )
 
+    def test_squares_as_a_product(self):
+        # sin(d/2) is squared as s * s, the correctly rounded square, which is never
+        # farther from the exact square than s ** 2 (libm's pow), and nearer wherever
+        # they differ at these log-uniform d.  The factor 3/4 rounds once more, so
+        # against (3/4) s^2 neither form is the nearer one throughout.
+        rng = np.random.default_rng(27)
+        differ = 0
+        for d in (10.0 ** rng.uniform(-8.0, 0.5, 20_000)).tolist():
+            s = math.sin(0.5 * d)
+            exact = Fraction(s) ** 2
+            error, pow_error = abs(Fraction(s * s) - exact), abs(Fraction(s**2) - exact)
+            assert error <= pow_error, d
+            differ += error < pow_error
+            assert gates.gate_error_vs_phase(d) == 0.75 * (s * s), d
+        assert differ > 0
+
 
 class TestRelativeErrorToPhaseError:
     def test_amplitude_only(self):

@@ -146,6 +146,23 @@ def required_bandwidth(duration_s):
     return 1.0 / duration_s
 
 
+def _flip_probability(duration_s, t2_s):
+    return -0.5 * math.expm1(-duration_s / t2_s)  # (1 - exp(-T/T2)) / 2, precise at T << T2
+
+
+def small_noise_infidelity(theta, alpha, rel_amp, sigma_t_s, duration_s, t2_q1_s, t2_q2_s):
+    """Small-noise infidelity of a pulse of area theta and duration T against SWAP^alpha:
+    (3/16) (offset^2 + A^2 + J^2) + (p1 + p2 - p1 p2), offset = theta - pi alpha,
+    A = theta rel_amp, J = theta (sigma_t / T), p_i = (1 - exp(-T/T2_i)) / 2.  Each
+    square is a product, so finite A and J give a finite value or inf, never nan."""
+    offset = theta - math.pi * alpha
+    amp = theta * rel_amp
+    jitter = theta * (sigma_t_s / duration_s)
+    coherent = (3.0 / 16.0) * (offset * offset + amp * amp + jitter * jitter)
+    p1, p2 = _flip_probability(duration_s, t2_q1_s), _flip_probability(duration_s, t2_q2_s)
+    return coherent + (p1 + p2 - p1 * p2)
+
+
 def feasibility(platform, tech, epsilon, strict_bandwidth=False):
     """Evaluate the full budget; infeasibility is a result, not an error.
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import core
+from . import budget, core
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,7 @@ def flip_probability(duration_s, t2_s):
     """Phase-flip probability p = (1 - exp(-T/T2)) / 2 after a wait of T."""
     if duration_s < 0.0 or math.isnan(duration_s):
         raise ValueError(f"duration must be >= 0, got {duration_s!r}")
-    # expm1 keeps the relative precision of p when T << T2.
-    return -0.5 * math.expm1(-duration_s / t2_s)
+    return budget._flip_probability(duration_s, t2_s)
 
 
 def dephasing_channel(duration_s, spec):

@@ -26,19 +26,22 @@ A sweep is one pass over the blocks, and its rows that share a draw key
 (seed, duration, effective noise) form a draw group, which shares the drawn
 errors, the effective noise and the realized duration T + t, so each row is
 bit-identical to its own estimate_infidelity.
+
+The analytic reference, analytic_infidelity, is budget.small_noise_infidelity of a config.
 """
 
 import math
 import os
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from functools import reduce
 from itertools import chain
 
 import numpy as np
 
-from .budget import SWEEP_AXES, Threshold, normalize_axis  # montecarlo.SWEEP_AXES stays public
-from .dephasing import DephasingSpec, flip_probability
+from .budget import SWEEP_AXES, normalize_axis  # montecarlo.SWEEP_AXES stays public
+from .budget import Threshold, small_noise_infidelity
+from .dephasing import DephasingSpec
 from .gates import PulseSpec, _checked_alpha, phase_from_pulse, pulse_for_target
 from .noise import _MAX_RADIUS, BLOCK, ControlNoiseSpec, draw_errors_block
 
@@ -234,21 +237,10 @@ def estimate_infidelity(cfg, n_workers=1):
 
 
 def analytic_infidelity(cfg):
-    """Small-noise prediction: (3/16) E[dtheta^2] plus the dephasing deficit.
-
-    E[dtheta^2] = offset^2 + A^2 + J^2, with the pulse-area offset from the
-    target, A = theta (sensitivity sigma_a) and J = theta (sigma_t / T), each
-    squared as a product: McConfig keeps A and J finite, so this is finite or
-    inf, never nan.  The dephasing term is p1 + p2 - p1 p2 at the nominal duration.
-    """
-    theta = phase_from_pulse(cfg.nominal)
-    offset = theta - math.pi * cfg.target_alpha
-    amp = theta * (cfg.sensitivity * cfg.noise.sigma_a)
-    jitter = theta * (cfg.noise.sigma_t_s / cfg.nominal.duration_s)
-    coherent = (3.0 / 16.0) * (offset * offset + amp * amp + jitter * jitter)
-    p1 = flip_probability(cfg.nominal.duration_s, cfg.dephasing.t2_q1_s)
-    p2 = flip_probability(cfg.nominal.duration_s, cfg.dephasing.t2_q2_s)
-    return coherent + (p1 + p2 - p1 * p2)
+    """budget.small_noise_infidelity of cfg's nominal pulse, target, noise and T2s."""
+    return small_noise_infidelity(phase_from_pulse(cfg.nominal), cfg.target_alpha,
+                                  cfg.sensitivity * cfg.noise.sigma_a, cfg.noise.sigma_t_s,
+                                  cfg.nominal.duration_s, *astuple(cfg.dephasing))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Start-up: the package's lazy exports, and which modules CLI commands load.
 
-`import exchsim`, `import exchsim.cli`, --version, --help, catalog and
-feasibility must run without numpy; gate, mc and sweep load it when they run.
+`import exchsim`, `import exchsim.cli`, a call of budget.small_noise_infidelity,
+--version, --help, catalog and feasibility must run without numpy; gate, mc and
+sweep load it when they run.
 The CLI imports json, csv, platform, traceback and configparser only where it
 uses them, and montecarlo imports concurrent.futures only for a pool of more
 than one worker.  Only a fresh interpreter shows what an import loads, so one
@@ -13,6 +14,7 @@ import contextlib
 import importlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -60,11 +62,17 @@ SPEC_FILE = (
 # The standard-library modules exchsim imports only in the code that uses them.
 WATCHED = ("concurrent.futures", "configparser", "csv", "json", "platform", "traceback")
 
+# The small-noise model at the paper's 80 dB amplitude control: alpha = 1/2,
+# 240 fs jitter, T = 5 ns, T2 = 0.5 ms.
+SMALL_NOISE_ARGS = (0.5 * math.pi, 0.5, 1e-4, 240e-15, 5e-9, 5e-4, 5e-4)
+
 # Run in a fresh interpreter with a Python-literal list of argvs: after
-# importing the package, the CLI, and after each cli.main call, record whether
-# numpy is loaded and which WATCHED modules were added since the runner's first
-# statement (so that what site loaded does not count); a call's record also
-# holds its exit code, stdout and stderr.  json is imported only to print.
+# importing the package, budget (then calling small_noise_infidelity on
+# SMALL_NOISE_ARGS and recording its value), the CLI, and after each cli.main
+# call, record whether numpy is loaded and which WATCHED modules were added
+# since the runner's first statement (so that what site loaded does not
+# count); a call's record also holds its exit code, stdout and stderr.  json is
+# imported only to print.
 FRESH_RUNNER = f"""
 import sys
 site_modules = set(sys.modules)
@@ -75,6 +83,9 @@ imports, report = [], []
 import exchsim
 imports.append("numpy" in sys.modules)
 imports.append(exchsim.noise.__name__)  # a submodule not imported yet, as an attribute
+import exchsim.budget
+imports.append(exchsim.budget.small_noise_infidelity(*{SMALL_NOISE_ARGS!r}).hex())
+imports.append("numpy" in sys.modules)
 import exchsim.cli
 imports.append("numpy" in sys.modules)
 imports.append(added())
@@ -144,9 +155,11 @@ def fresh(tmp_path_factory):
 class TestFreshProcess:
     def test_package_and_cli_import_without_numpy(self, fresh):
         _, _, imports, _ = fresh
-        # numpy after `import exchsim`, then a submodule attribute, then numpy
-        # and the WATCHED modules after `import exchsim.cli`
-        assert imports == [False, "exchsim.noise", False, []]
+        # numpy after `import exchsim`, then a submodule attribute, then the
+        # small-noise model's value and numpy after `import exchsim.budget` and
+        # its call, then numpy and the WATCHED modules after `import exchsim.cli`
+        model = budget.small_noise_infidelity(*SMALL_NOISE_ARGS).hex()
+        assert imports == [False, "exchsim.noise", model, False, False, []]
 
     def test_only_gate_mc_and_sweep_load_numpy(self, fresh):
         _, steps, _, report = fresh

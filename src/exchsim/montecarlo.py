@@ -39,8 +39,8 @@ from itertools import chain
 
 import numpy as np
 
-from .budget import SWEEP_AXES, normalize_axis  # montecarlo.SWEEP_AXES stays public
-from .budget import Threshold, small_noise_infidelity
+from .budget import (SWEEP_AXES, Threshold, normalize_axis,  # montecarlo.SWEEP_AXES stays public
+                     small_noise_infidelity)
 from .dephasing import DephasingSpec
 from .gates import PulseSpec, _checked_alpha, phase_from_pulse, pulse_for_target
 from .noise import _MAX_RADIUS, BLOCK, ControlNoiseSpec, draw_errors_block

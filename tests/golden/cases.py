@@ -37,8 +37,8 @@ TECHNOLOGY = SPEC_FILE.split("\n\n")[1] + "\n"  # the [technology] section of SP
 FIXTURES = {
     "spec.ini": SPEC_FILE.encode(),
     "latin-1.ini": SPEC_FILE.replace("homebrew", "caf\xe9").encode("latin-1"),
-    "two-technologies.ini": (SPEC_FILE + "\n" + TECHNOLOGY.replace("[technology]", "[technology.b]")
-                             .replace("homebrew", "second")).encode(),
+    "two-technologies.ini": (SPEC_FILE + "\n" + TECHNOLOGY.replace("homebrew", "second")
+                             .replace("[technology]", "[technology.b]")).encode(),
     "empty-name.ini": TECHNOLOGY.replace("homebrew", "").encode(),
     "not-a-number.ini": TECHNOLOGY.replace("1e-6", "tiny").encode(),
     "nan.ini": TECHNOLOGY.replace("1e-6", "nan").encode(),

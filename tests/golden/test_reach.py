@@ -45,19 +45,18 @@ def _statements(body, function, source_lines):
         header_end = node.body[0].lineno - 1 if hasattr(node, "body") else node.end_lineno
         yield (function, source_lines[node.lineno - 1].strip(),
                range(node.lineno, max(node.lineno, header_end) + 1))
-        nested = node.name if isinstance(node, ast.FunctionDef) else function
-        for field in ("body", "orelse", "finalbody"):
-            yield from _statements(_code(getattr(node, field, [])), nested, source_lines)
-        for handler in getattr(node, "handlers", []):
-            yield from _statements(handler.body, function, source_lines)
+        if isinstance(node, ast.FunctionDef):
+            yield from _function_statements(node, source_lines)
+            continue
+        for block in (getattr(node, "body", []), getattr(node, "orelse", []),
+                      getattr(node, "finalbody", []),
+                      *(handler.body for handler in getattr(node, "handlers", []))):
+            yield from _statements(block, function, source_lines)
 
 
-def _code(body):
-    """body without its docstring."""
-    first = body[0] if body else None
-    docstring = (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
-                 and isinstance(first.value.value, str))
-    return body[1:] if docstring else body
+def _function_statements(function, source_lines):
+    body = function.body[1:] if ast.get_docstring(function, clean=False) else function.body
+    yield from _statements(body, function.name, source_lines)
 
 
 def statements(module):
@@ -68,7 +67,7 @@ def statements(module):
         if isinstance(node, ast.ClassDef) or node is tree:
             for child in node.body:
                 if isinstance(child, ast.FunctionDef):
-                    yield from _statements(_code(child.body), child.name, source_lines)
+                    yield from _function_statements(child, source_lines)
 
 
 @pytest.fixture(scope="module")

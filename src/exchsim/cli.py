@@ -227,12 +227,12 @@ def cmd_feasibility(args):
     _write_file(txt_path, text)
     json_path = os.path.join(args.out, "feasibility.json")
     inputs = {
-        "platform": {"name": platform_name, **asdict(platform)},
-        "technology": asdict(tech),
+        "platform": {"name": platform_name, **vars(platform)},
+        "technology": vars(tech),
         "epsilon": epsilon,
         "strict_bandwidth": args.strict_bandwidth,
     }
-    # vars, not asdict: no deep copy; _jsonable lists the tuples
+    # vars, not asdict: no deep copies; _jsonable lists the report's tuples
     _write_file(json_path, _json_text({**inputs, **vars(report)}))
     _write_manifest(args.out, "feasibility", inputs, None, [txt_path, json_path], started)
     return 0
@@ -467,16 +467,23 @@ def _build_parser(command=None):
     does with five subparsers.  main passes the first argument without a
     leading "-", which argparse reads as the command: no top-level option
     takes a value, and -, -5 and what follows -- are no command names.
+    Each call builds the invoked command's parser with one terminal-width
+    read, not one per add_argument, and gives add_subparsers the prog it
+    would render from the usage: the prog alone, as there are no positionals.
     """
+    import shutil  # argparse's HelpFormatter imports it too
+
+    width = shutil.get_terminal_size().columns - 2  # the width HelpFormatter computes
     parser = argparse.ArgumentParser(
         prog="exchsim",
         description="Exchange-gate noise budgets, feasibility verdicts, and Monte Carlo checks.",
+        formatter_class=lambda prog: argparse.HelpFormatter(prog, width=width),
     )
     parser.add_argument("--version", action="version", version=f"exchsim {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
     for name, (help_text, add_flags, func) in COMMANDS.items():
         if name == command:
-            p = sub.add_parser(name, help=help_text)
+            p = sub.add_parser(name, help=help_text, formatter_class=parser.formatter_class)
             add_flags(p)
             p.set_defaults(func=func)
             p._negative_number_matcher = _NEGATIVE_NUMBER  # argparse 3.10-3.13 keep it here

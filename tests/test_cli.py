@@ -639,6 +639,36 @@ class TestParser:
             assert flags - {"-h", "--help"}
             assert parser.get_default("func") == cli.COMMANDS[command][2]
 
+    @pytest.mark.parametrize("command", [None, *cli.COMMANDS])
+    def test_a_build_reads_the_terminal_width_once(self, command, monkeypatch):
+        """argparse's HelpFormatter reads the terminal size each time it is built,
+        which add_argument and add_subparsers do; the build reads it once."""
+        calls = []
+        size = shutil.get_terminal_size
+        monkeypatch.setattr(shutil, "get_terminal_size",
+                            lambda *args: calls.append(args) or size(*args))
+        cli._build_parser(command)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("argv", [[], *([command] for command in cli.COMMANDS)],
+                             ids=lambda argv: argv[0] if argv else "top-level")
+    def test_each_call_prints_help_at_its_own_width(self, argv, capsys, monkeypatch):
+        """Two main calls in one process, at two widths, each print the oracle's help
+        at its width: the width is read per call, not kept from the first one."""
+        printed = {}
+        for columns in ("60", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            with pytest.raises(SystemExit) as exit_info:
+                cli.main([*argv, "--help"])
+            assert exit_info.value.code == 0
+            oracle = oracle_parser()
+            if argv:
+                oracle = next(action for action in oracle._actions
+                              if isinstance(action, argparse._SubParsersAction)).choices[argv[0]]
+            printed[columns] = capsys.readouterr().out
+            assert printed[columns] == oracle.format_help()
+        assert printed["60"] != printed["200"]
+
     @pytest.mark.parametrize("argv, built_for", [
         (["--version"], None), ([], None), (["bogus"], "bogus"), (["-x", "mc"], "mc"),
         (["--", "mc"], "mc"), (["-h", "mc"], "mc"), (["--bogus", "mc"], "mc"),

@@ -33,7 +33,7 @@ The analytic reference, analytic_infidelity, is budget.small_noise_infidelity of
 import math
 import os
 from contextlib import nullcontext
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass, replace
 from functools import reduce
 from itertools import chain
 
@@ -240,7 +240,8 @@ def analytic_infidelity(cfg):
     """budget.small_noise_infidelity of cfg's nominal pulse, target, noise and T2s."""
     return small_noise_infidelity(phase_from_pulse(cfg.nominal), cfg.target_alpha,
                                   cfg.sensitivity * cfg.noise.sigma_a, cfg.noise.sigma_t_s,
-                                  cfg.nominal.duration_s, *astuple(cfg.dephasing))
+                                  cfg.nominal.duration_s, cfg.dephasing.t2_q1_s,
+                                  cfg.dephasing.t2_q2_s)
 
 
 @dataclass(frozen=True)

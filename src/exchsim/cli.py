@@ -94,7 +94,10 @@ def _load_spec_file(path):
             text = fh.read()
         except UnicodeDecodeError as exc:
             raise ValueError(f"spec file {path} is not UTF-8: {exc}") from None
-    return budget.load_specs(text)
+    try:
+        return budget.load_specs(text)
+    except budget.SpecFileError as exc:  # load_specs parses text: name the file at fault
+        raise budget.SpecFileError(f"spec file {path}: {exc}") from None
 
 
 def _user_technologies(file_arg):

@@ -199,7 +199,7 @@ class TestFeasibilityCommand:
         spec.write_text(text, encoding="utf-8")
         rc = cli.main(["feasibility", "--spec-file", str(spec), "--out", str(tmp_path / "out")])
         assert rc == 2
-        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert capsys.readouterr().err.startswith(f"error: spec file {spec}: {message}")
         assert not (tmp_path / "out").exists()
 
     def test_internal_error_maps_to_exit_1(self, tmp_path, capsys, monkeypatch):
@@ -830,6 +830,18 @@ class TestCatalogCommand:
         assert rc == 0
         report = json.loads(read_bytes(tmp_path / "out" / "feasibility.json"))
         assert report["technology"]["name"] == "house-generator"
+
+    @pytest.mark.parametrize("at_fault", ["EXCHSIM_CATALOG", "--file"])
+    def test_spec_file_error_names_the_file_at_fault(self, tmp_path, capsys, monkeypatch,
+                                                     at_fault):
+        good, bad = tmp_path / "good.ini", tmp_path / "bad.ini"
+        good.write_text(ELECTRICAL_INI_EXTRA)
+        bad.write_text(ELECTRICAL_INI_EXTRA.replace("sigma_a = 2e-3", "sigma_a = tiny"))
+        env_path, file_path = (bad, good) if at_fault == "EXCHSIM_CATALOG" else (good, bad)
+        monkeypatch.setenv(cli.CATALOG_ENV_VAR, str(env_path))
+        assert cli.main(["catalog", "--file", str(file_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: spec file {bad}: technology.sigma_a: not a number: 'tiny'\n")
 
 
 

@@ -471,8 +471,8 @@ def _build_parser(command=None):
     leading "-", which argparse reads as the command: no top-level option
     takes a value, and -, -5 and what follows -- are no command names.
     Each call builds the invoked command's parser with one terminal-width
-    read, not one per add_argument, and gives add_subparsers the prog it
-    would render from the usage: the prog alone, as there are no positionals.
+    read, not one per add_argument, and passes add_subparsers the prog it
+    would render: the prog alone, as the parser has no positionals.
     """
     import shutil  # argparse's HelpFormatter imports it too
 

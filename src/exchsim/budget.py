@@ -275,6 +275,9 @@ class LoadedSpecs:
     threshold: Threshold | None
 
 
+NO_SPECS = LoadedSpecs(platform=None, technologies=(), threshold=None)  # load_specs("")
+
+
 def _parse_number(section, key, raw):
     try:
         value = float(raw)

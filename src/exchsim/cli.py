@@ -10,9 +10,10 @@ and a manifest's parameters from the McConfig (plus workers, and a sweep's axis
 and values) or those same inputs.  With a fixed seed the primary output files
 are byte-identical across runs and worker counts; manifests are not.  Only
 gate, mc and sweep load numpy, when they run: the numpy-backed modules are
-imported inside their commands.  Likewise json, csv, platform, traceback and
-configparser (in budget.load_specs) are imported only in the code that uses
-them, so --version, --help and a text catalog load none of them.
+imported inside their commands.  Likewise json, csv, platform, traceback,
+configparser (in budget.load_specs), budget, noise and dataclasses are imported
+only in the code that uses them: --version, --help and the feasibility, gate
+and catalog help load none of them, and a text catalog none of the first five.
 """
 
 import argparse
@@ -22,11 +23,8 @@ import os
 import re
 import sys
 import time
-from dataclasses import asdict
 
-from . import __version__, budget
-from .budget import SWEEP_AXES
-from .noise import RNG_SCHEME, ControlNoiseSpec, DISTRIBUTIONS, RejectedSampleError
+from . import __version__
 
 CATALOG_ENV_VAR = "EXCHSIM_CATALOG"
 DEFAULT_EPSILON = 1e-5
@@ -39,8 +37,6 @@ DEFAULT_OUT_DIR = "exchsim_out"
 # reads it.  One entry pattern, not two, keeps the import-time compile as short as before.
 _NEGATIVE_NUMBER = re.compile(
     r"^(?:(?:^-|,[-+]?)(?:\d*\.?\d+(?:[eE][-+]?\d+)?|(?i:inf|infinity|nan))?)+$")
-# what feasibility reads without --spec-file: load_specs("") without the INI parser
-_NO_SPEC_FILE = budget.LoadedSpecs(platform=None, technologies=(), threshold=None)
 
 
 def _fmt(x):
@@ -89,6 +85,8 @@ def _write_manifest(out_dir, command, parameters, seed, outputs, started, **extr
 
 
 def _load_spec_file(path):
+    from . import budget
+
     with open(path, encoding="utf-8") as fh:
         try:
             text = fh.read()
@@ -123,6 +121,8 @@ def _matrix_lines(u):
 
 
 def _resolve_platform(args, loaded):
+    from . import budget
+
     if args.t2 is not None or args.sensitivity is not None:
         if args.t2 is None or args.sensitivity is None:
             raise ValueError("--t2 and --sensitivity must be given together")
@@ -142,6 +142,8 @@ def _resolve_platform(args, loaded):
 
 
 def _resolve_technology(args, loaded):
+    from . import budget
+
     if args.sigma_a is not None or args.sigma_t is not None:
         if args.sigma_a is None or args.sigma_t is None:
             raise ValueError("--sigma-a and --sigma-t must be given together")
@@ -204,8 +206,8 @@ def _feasibility_text(platform, tech, epsilon, report):
         f"limiting constraints:      {', '.join(report.limiting_constraints) or 'none'}",
         "improvement factors (dimensionless):",
     ]
-    for name in budget.CONSTRAINTS:
-        lines.append(f"  {name:<12} {_fmt(report.improvement_factors[name])}")
+    for name, factor in report.improvement_factors.items():  # in budget.CONSTRAINTS order
+        lines.append(f"  {name:<12} {_fmt(factor)}")
     lines += [
         f"required bandwidth at t_max (Hz): {_fmt(report.required_bandwidth_hz)}",
         f"required bandwidth at t_min (Hz): {_fmt(report.required_bandwidth_at_t_min_hz)}",
@@ -215,8 +217,10 @@ def _feasibility_text(platform, tech, epsilon, report):
 
 
 def cmd_feasibility(args):
+    from . import budget
+
     started = time.monotonic()
-    loaded = _load_spec_file(args.spec_file) if args.spec_file else _NO_SPEC_FILE
+    loaded = _load_spec_file(args.spec_file) if args.spec_file else budget.NO_SPECS
     platform, platform_name = _resolve_platform(args, loaded)
     tech = _resolve_technology(args, loaded)
     epsilon = _resolve_epsilon(args, loaded)
@@ -289,6 +293,7 @@ def _mc_config(args):
     from .dephasing import DephasingSpec
     from .gates import pulse_for_target
     from .montecarlo import McConfig
+    from .noise import ControlNoiseSpec
 
     noise_spec = ControlNoiseSpec(
         sigma_a=args.sigma_a,
@@ -315,8 +320,11 @@ def _write_mc_outputs(args, cfg, rows, started, **parameters):
     """<command>.csv from (axis_value, McResult, analytic) rows, and its manifest."""
     import csv
     import platform
+    from dataclasses import asdict
 
     import numpy as np
+
+    from .noise import RNG_SCHEME
 
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, f"{args.command}.csv")
@@ -373,9 +381,11 @@ def cmd_sweep(args):
 
 
 def cmd_catalog(args):
+    from . import budget
+
     entries = budget.merge_catalog(_user_technologies(args.file))
     if args.format == "json":
-        print(_json_text([asdict(t) for t in entries]), end="")
+        print(_json_text([vars(t) for t in entries]), end="")
         return 0
     header = (
         f"{'name':<28} {'sigma_a (dimensionless)':>24} {'sigma_t (s)':>14} "
@@ -398,6 +408,8 @@ def cmd_catalog(args):
 
 
 def _add_mc_flags(sub):
+    from .noise import DISTRIBUTIONS
+
     sub.add_argument("--alpha", type=float, default=0.5, help="SWAP exponent of the target gate")
     sub.add_argument("--duration", type=float, default=5e-9,
                      help="nominal pulse duration in seconds (default 5e-9)")
@@ -441,6 +453,8 @@ def _add_gate_flags(p):
 
 
 def _add_sweep_flags(p):
+    from .budget import SWEEP_AXES
+
     _add_mc_flags(p)
     p.add_argument("--axis", required=True, help=f"sweep axis, one of {', '.join(SWEEP_AXES)}")
     p.add_argument("--values", required=True, help="comma-separated axis values")
@@ -502,10 +516,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, RejectedSampleError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Exception:
+    except Exception as exc:
+        from .noise import RejectedSampleError  # only an mc or sweep run raises it
+
+        if isinstance(exc, (ValueError, OSError, RejectedSampleError)):
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         import traceback
 
         traceback.print_exc()

@@ -339,6 +339,9 @@ class TestLoadSpecs:
         assert loaded.platform == budget.PlatformSpec(t2_s=0.5e-3, sensitivity=1.0)
         assert loaded.threshold == budget.Threshold(epsilon=1e-5)
 
+    def test_empty_text_loads_no_specs(self):
+        assert budget.load_specs("") == budget.NO_SPECS
+
     def test_scientific_notation_everywhere(self):
         loaded = budget.load_specs(
             "[threshold]\nepsilon = 1.0E-4\n\n[platform]\nt2_seconds = 5E-4\nsensitivity = 1e0\n"

@@ -206,7 +206,7 @@ class TestFeasibilityCommand:
         def boom(*args, **kwargs):
             raise RuntimeError("synthetic failure")
 
-        monkeypatch.setattr(cli.budget, "feasibility", boom)
+        monkeypatch.setattr(budget, "feasibility", boom)
         rc = cli.main(["feasibility", "--platform", "si-spin", "--sigma-a", "0",
                        "--sigma-t", "0", "--out", str(tmp_path / "out")])
         assert rc == 1
@@ -339,6 +339,15 @@ class TestMcCommand:
                               "alpha = 0.5: the exchange strength 2 pi alpha / duration "
                               "overflows")
         assert "Traceback" not in err
+
+    def test_rejected_sample_is_input_error(self, tmp_path, capsys, monkeypatch):
+        def reject(*args, **kwargs):
+            raise noise.RejectedSampleError("synthetic rejection")
+
+        monkeypatch.setattr(montecarlo, "estimate_infidelity", reject)
+        assert cli.main(["mc", "--n", "10", "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: synthetic rejection\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestGoldenStream:

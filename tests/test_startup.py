@@ -8,8 +8,14 @@ uses them, and montecarlo imports concurrent.futures only for a pool of more
 than one worker.  Only a fresh interpreter shows what an import loads, so one
 subprocess runs a list of commands and reports, after each, whether numpy and
 which of those six modules were loaded.
+The CLI also imports budget, noise and dataclasses (which both import) only in
+the commands and flags that use them: --version, --help and the feasibility,
+gate and catalog help load none of the three, and a gate run neither budget nor
+noise.  A second fresh interpreter, which imports the CLI before any other
+exchsim module, checks that.
 """
 
+import ast
 import contextlib
 import importlib
 import io
@@ -101,6 +107,34 @@ import json
 print(json.dumps([imports, report]))
 """
 
+# The modules that no version or help output and no gate run needs: budget and
+# noise, and dataclasses, which both import (with inspect, ast, dis and tokenize).
+LEAN = ("dataclasses", "exchsim.budget", "exchsim.noise")
+LEAN_ARGVS = [["--version"], ["--help"],
+              *[[command, "--help"] for command in ("feasibility", "gate", "catalog")],
+              ["gate", "--alpha", "0.5", "--dj", "1e-4"]]
+
+# Run in a fresh interpreter: import the CLI first, then run each of LEAN_ARGVS;
+# record which LEAN modules were added since the runner's first statement after
+# the import and after each cli.main call, with the call's exit code.
+LEAN_RUNNER = f"""
+import sys
+site_modules = set(sys.modules)
+import contextlib, io
+def added():
+    return [name for name in {LEAN!r} if name in sys.modules and name not in site_modules]
+import exchsim.cli
+report = [added()]
+for argv in {LEAN_ARGVS!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = exchsim.cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    report.append([code, added()])
+print(repr(report))
+"""
+
 MC_ARGS = ["--alpha", "0.5", "--sigma-a", "1e-3", "--sigma-t", "1e-12", "--n", "9000",
            "--seed", "18446744073709551609"]
 
@@ -136,18 +170,21 @@ def command_steps(tmp_path, out):
     ]
 
 
+def run_fresh(runner, *args):
+    """The stdout of runner run with args in a fresh interpreter that imports this exchsim."""
+    src = os.path.dirname(os.path.dirname(exchsim.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, COLUMNS="80", PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.run([sys.executable, "-c", runner, *args], env=env, capture_output=True,
+                          text=True, timeout=120, check=True).stdout
+
+
 @pytest.fixture(scope="module")
 def fresh(tmp_path_factory):
     """The steps of command_steps, and the fresh interpreter's imports and report."""
     tmp_path = tmp_path_factory.mktemp("startup")
     steps = command_steps(tmp_path, "fresh")
-    src = os.path.dirname(os.path.dirname(exchsim.__file__))
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, COLUMNS="80", PYTHONPATH=src + (os.pathsep + path if path else ""))
-    done = subprocess.run([sys.executable, "-c", FRESH_RUNNER,
-                           repr([argv for argv, *_ in steps])],
-                          env=env, capture_output=True, text=True, timeout=120, check=True)
-    imports, report = json.loads(done.stdout)
+    imports, report = json.loads(run_fresh(FRESH_RUNNER, repr([argv for argv, *_ in steps])))
     assert len(report) == len(steps)
     return tmp_path, steps, imports, report
 
@@ -199,6 +236,22 @@ class TestFreshProcess:
                      "mc/mc.csv", "mc-workers-2/mc.csv", "sweep/sweep.csv"):
             assert ((tmp_path / "inproc" / name).read_bytes()
                     == (tmp_path / "fresh" / name).read_bytes()), name
+
+
+class TestLeanStartup:
+    @pytest.fixture(scope="class")
+    def report(self):
+        return ast.literal_eval(run_fresh(LEAN_RUNNER))
+
+    def test_version_and_help_load_no_dataclasses_budget_or_noise(self, report):
+        assert report[0] == []  # after import exchsim.cli
+        for argv, (code, loaded) in zip(LEAN_ARGVS[:-1], report[1:-1]):
+            assert (code, loaded) == (0, []), argv
+
+    def test_gate_run_loads_neither_budget_nor_noise(self, report):
+        code, loaded = report[-1]
+        assert code == 0
+        assert not {"exchsim.budget", "exchsim.noise"} & set(loaded)
 
 
 class TestLazyExports:

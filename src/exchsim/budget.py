@@ -314,7 +314,7 @@ def _build(section, items, record):
         raise SpecFileError(f"{section}: {exc}") from None
 
 
-def load_specs(text):
+def load_specs(text, source="<string>"):
     """Parse spec-file content into platform/technology/threshold records.
 
     Sections: [platform], [threshold], and one or more technology sections
@@ -322,12 +322,13 @@ def load_specs(text):
     fields of its record (PlatformSpec, Threshold, TechnologySpec), except
     that t2_s and sigma_t_s are written t2_seconds and sigma_t_seconds.
     Numbers accept scientific notation.  Unknown sections or keys are errors.
+    source names the text in configparser's messages, as read_string does.
     """
     import configparser  # only spec files need it, not the CLI's start-up
 
     parser = configparser.ConfigParser(interpolation=None, strict=True)
     try:
-        parser.read_string(text)
+        parser.read_string(text, source)
     except configparser.Error as exc:
         raise SpecFileError(f"unparseable spec file: {exc}") from None
 

@@ -93,7 +93,7 @@ def _load_spec_file(path):
         except UnicodeDecodeError as exc:
             raise ValueError(f"spec file {path} is not UTF-8: {exc}") from None
     try:
-        return budget.load_specs(text)
+        return budget.load_specs(text, source=path)
     except budget.SpecFileError as exc:  # load_specs parses text: name the file at fault
         raise budget.SpecFileError(f"spec file {path}: {exc}") from None
 

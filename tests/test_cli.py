@@ -852,6 +852,17 @@ class TestCatalogCommand:
         assert capsys.readouterr().err == (
             f"error: spec file {bad}: technology.sigma_a: not a number: 'tiny'\n")
 
+    @pytest.mark.parametrize("text", ["t2_seconds = 1e-3\n", "[platform]\nt2_seconds\n"],
+                             ids=["no-section-header", "no-value"])
+    def test_unparseable_spec_file_names_the_file_on_configparsers_line(self, tmp_path, capsys,
+                                                                       text):
+        bad = tmp_path / "u.ini"
+        bad.write_text(text)
+        assert cli.main(["catalog", "--file", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: spec file {bad}: unparseable spec file: ")
+        assert repr(str(bad)) in err and "<string>" not in err  # configparser quotes its source
+
 
 
 @pytest.mark.parametrize("route", ["catalog --file", "EXCHSIM_CATALOG", "feasibility --spec-file"])

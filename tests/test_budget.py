@@ -342,10 +342,10 @@ class TestLoadSpecs:
     def test_empty_text_loads_no_specs(self):
         assert budget.load_specs("") == budget.NO_SPECS
 
-    @pytest.mark.parametrize("source", [None, "site.ini"])
-    def test_source_names_the_text_in_configparsers_message(self, source):
-        kwargs = {} if source is None else {"source": source}
-        with pytest.raises(budget.SpecFileError, match=re.escape(f"'{source or '<string>'}'")):
+    @pytest.mark.parametrize("kwargs, quoted", [({}, "'<string>'"),
+                                                ({"source": "site.ini"}, "'site.ini'")])
+    def test_source_names_the_text_in_configparsers_message(self, kwargs, quoted):
+        with pytest.raises(budget.SpecFileError, match=re.escape(quoted)):
             budget.load_specs("t2_seconds = 1e-3\n", **kwargs)
 
     def test_scientific_notation_everywhere(self):

@@ -107,8 +107,9 @@ import json
 print(json.dumps([imports, report]))
 """
 
-# The modules that no version or help output and no gate run needs: budget and
-# noise, and dataclasses, which both import (with inspect, ast, dis and tokenize).
+# The modules that version and help output do not need: budget and noise, and
+# dataclasses, which both import (with inspect, ast, dis and tokenize).  A gate
+# run needs only dataclasses of them, through gates.
 LEAN = ("dataclasses", "exchsim.budget", "exchsim.noise")
 LEAN_ARGVS = [["--version"], ["--help"],
               *[[command, "--help"] for command in ("feasibility", "gate", "catalog")],

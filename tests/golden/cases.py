@@ -140,6 +140,10 @@ CASES = {
     "bad-mc-overflowing-alpha": ["mc", "--alpha", "1e160", "--duration", "1", "--n", "10",
                                  "--out", "out"],
     "bad-mc-negative-alpha": ["mc", "--alpha=-0.5", "--n", "10", "--out", "out"],
+    "bad-mc-workers-zero": ["mc", *MC, "--workers", "0", "--out", "out"],
+    "bad-mc-zero-samples": ["mc", *MC, "--n", "0", "--out", "out"],
+    "bad-mc-negative-seed": ["mc", *MC, "--seed=-1", "--out", "out"],
+    "bad-mc-negative-sensitivity": ["mc", *MC, "--sensitivity=-1", "--out", "out"],
     "bad-sweep-no-values": ["sweep", *MC, "--axis", "sigma_a", "--values", ",", "--out", "out"],
     "mc-analytic-underflow": ["mc", "--duration", "1e30", "--sigma-t", "1e300", "--alpha", "1e-300",
                               "--n", "20", "--out", "out"],

@@ -1,9 +1,9 @@
-"""The corpus reaches every statement inside a function of cli.py and budget.py.
+"""The corpus reaches every statement inside a function of cli.py, budget.py and montecarlo.py.
 
 The corpus pins the bytes of the paths it runs, and nothing else, so a path
 that no case runs could change its output unnoticed.  This test runs every
 case under a line tracer (sys.settrace, and threading.settrace for the worker
-threads) and requires each statement of a function or method of those two
+threads) and requires each statement of a function or method of those three
 modules to be reached, apart from ALLOWED.  Statements and their lines come
 from ast: a simple statement is reached when any of its lines runs, a compound
 one when its header does; a function's docstring is not a statement here.
@@ -17,9 +17,9 @@ from pathlib import Path
 import pytest
 
 import cases
-from exchsim import budget, cli
+from exchsim import budget, cli, montecarlo
 
-MODULES = (cli, budget)
+MODULES = (cli, budget, montecarlo)
 # (module, function, first line of the statement) -> why no CLI argv reaches it
 ALLOWED = {
     **{("cli", "main", text): "main's internal-error branch: only a bug in a command runs it"
@@ -35,6 +35,9 @@ ALLOWED = {
     ("budget", "required_bandwidth",
      'raise ValueError(f"duration_s must be > 0, got {duration_s!r}")'):
         "feasibility calls it only at a duration > 0",
+    ("montecarlo", "__post_init__",
+     'object.__setattr__(self, "dephasing", DephasingSpec(math.inf))'):
+        "the CLI always passes a DephasingSpec",
 }
 
 

@@ -78,13 +78,12 @@ class Threshold:
         _check_epsilon(self.epsilon)
 
 
-# The Monte Carlo sweep axes; the epsilon axis is a Threshold reference line.
-SWEEP_AXES = ("sigma_a", "sigma_t", "t2", "target_alpha", "epsilon")
-_AXIS_ALIASES = {"epsilon-reference-line": "epsilon", "epsilon_reference_line": "epsilon"}
+# The Monte Carlo sweep axes, each a field of the estimated config.
+SWEEP_AXES = ("sigma_a", "sigma_t", "t2", "target_alpha")
 
 
 def normalize_axis(axis):
-    name = _AXIS_ALIASES.get(axis.strip().lower(), axis.strip().lower())
+    name = axis.strip().lower()
     if name not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
     return name

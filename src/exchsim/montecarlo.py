@@ -27,7 +27,8 @@ A sweep is one pass over the blocks, and its rows that share a draw key
 errors, the effective noise and the realized duration T + t, so each row is
 bit-identical to its own estimate_infidelity.
 
-The analytic reference, analytic_infidelity, is budget.small_noise_infidelity of a config.
+The analytic reference, analytic_infidelity, is budget.small_noise_infidelity of a config;
+each sweep row carries that of its own config.
 """
 
 import math
@@ -39,8 +40,7 @@ from itertools import chain
 
 import numpy as np
 
-from .budget import (SWEEP_AXES, Threshold, normalize_axis,  # montecarlo.SWEEP_AXES stays public
-                     small_noise_infidelity)
+from .budget import SWEEP_AXES, normalize_axis, small_noise_infidelity  # SWEEP_AXES re-exported
 from .dephasing import DephasingSpec
 from .gates import PulseSpec, _checked_alpha, phase_from_pulse, pulse_for_target
 from .noise import _MAX_RADIUS, BLOCK, ControlNoiseSpec, draw_errors_block
@@ -261,15 +261,9 @@ def _config_for(cfg, axis, value):
         return replace(cfg, noise=replace(cfg.noise, sigma_t_s=value))
     if axis == "t2":
         return replace(cfg, dephasing=DephasingSpec(value))
-    if axis == "target_alpha":
-        # Retune the nominal pulse so each row studies a matched gate.
-        return replace(
-            cfg,
-            target_alpha=value,
-            nominal=pulse_for_target(value, cfg.nominal.duration_s),
-        )
-    Threshold(value)  # epsilon: a reference line checked as an error rate; the run is unchanged
-    return cfg
+    # target_alpha: retune the nominal pulse so each row studies a matched gate.
+    return replace(cfg, target_alpha=value,
+                   nominal=pulse_for_target(value, cfg.nominal.duration_s))
 
 
 def sweep(cfg, axis, values, n_workers=1):
@@ -278,11 +272,10 @@ def sweep(cfg, axis, values, n_workers=1):
     values must not be empty, and every row's config is built and checked
     before any sample is drawn.  The rows are then estimated in one pass
     over the blocks, and rows that share a draw key (seed, duration and
-    effective noise: every row of the t2, target_alpha and epsilon axes, or
-    a repeated value) share the draws, so each row equals its own
-    estimate_infidelity.  The analytic reference column carries
-    analytic_infidelity for physical axes and the threshold value itself for
-    the epsilon reference axis.
+    effective noise: every row of the t2 and target_alpha axes, or a
+    repeated value) share the draws, so each row equals its own
+    estimate_infidelity.  The analytic reference column carries the row's
+    analytic_infidelity.
     """
     values = [float(value) for value in values]
     if not values:
@@ -291,6 +284,5 @@ def sweep(cfg, axis, values, n_workers=1):
     cfgs = [_config_for(cfg, axis, value) for value in values]
     results = _estimate(cfgs, n_workers)
     return tuple(SweepPoint(axis=axis, value=value, result=result,
-                            analytic_prediction=(value if axis == "epsilon"
-                                                 else analytic_infidelity(row_cfg)))
+                            analytic_prediction=analytic_infidelity(row_cfg))
                  for value, row_cfg, result in zip(values, cfgs, results))

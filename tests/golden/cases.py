@@ -62,8 +62,7 @@ SWEEP_DEPHASED = ["sweep", "--axis", "t2", "--values", "5e-5,1e-4,5e-4,1e-3,5e-3
                   "--sigma-a", "1e-3", "--sigma-t", "1e-11", "--distribution", "uniform",
                   "--n", N, "--seed", MAX_SEED]
 AXIS_VALUES = {"sigma_a": "1e-4,1e-3,1e-2", "sigma_t": "1e-13,1e-12,1e-11",
-               "t2": "5e-5,5e-4,inf", "target_alpha": "0.25,0.5,1.0",
-               "epsilon": "1e-5,1e-4"}
+               "t2": "5e-5,5e-4,inf", "target_alpha": "0.25,0.5,1.0"}
 FEASIBILITY = ["feasibility", "--platform", "si-spin", "--out", "out"]
 CUSTOM_TECH = ["feasibility", "--sigma-a", "1e-6", "--sigma-t", "1e-13", "--bw-high", "1e11",
                "--out", "out"]
@@ -168,6 +167,8 @@ CASES = {
     "bad-sweep-non-numeric-value": ["sweep", *MC, "--axis", "sigma_a", "--values", "1e-3,x",
                                     "--out", "out"],
     "bad-sweep-unknown-axis": ["sweep", *MC, "--axis", "voltage", "--values", "1", "--out", "out"],
+    **{f"bad-sweep-{axis}-axis": ["sweep", *MC, "--axis", axis, "--values", "1e-5", "--out", "out"]
+       for axis in ("epsilon", "epsilon-reference-line")},
     "bad-feasibility-t2-zero": ["feasibility", "--t2", "0", "--sensitivity", "1", "--tech",
                                 "electrical-pulse-generator", "--out", "out"],
     "bad-feasibility-negative-sensitivity": ["feasibility", "--t2", "1e-3", "--sensitivity=-1",

@@ -38,6 +38,12 @@ class TestScalarBounds:
         assert budget.max_gate_time(1e-4, 0.5e-3) == pytest.approx(50e-9, rel=1e-12)
         assert budget.max_gate_time(1e-5, 0.0) == 0.0
 
+    @pytest.mark.parametrize("epsilon", [0.0, 1.0, 2.0, -1e-5, math.inf, math.nan])
+    def test_threshold_rejects_epsilon_outside_unit_interval(self, epsilon):
+        message = f"epsilon must lie in (0, 1), got {epsilon!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            budget.Threshold(epsilon)
+
     def test_max_gate_time_rejects_bad_epsilon(self):
         with pytest.raises(ValueError):
             budget.max_gate_time(0.0, 1e-3)

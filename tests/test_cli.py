@@ -426,7 +426,7 @@ class TestSweepCommand:
 
     # The field each axis's record names when it rejects a value.
     AXIS_FIELDS = {"sigma_a": "sigma_a", "sigma_t": "sigma_t_s", "t2": "T2",
-                   "target_alpha": "alpha", "epsilon": "epsilon"}
+                   "target_alpha": "alpha"}
 
     @pytest.mark.parametrize("axis", montecarlo.SWEEP_AXES)
     def test_nan_value_is_input_error_naming_the_axis_field(self, tmp_path, capsys, draws, axis):
@@ -445,25 +445,6 @@ class TestSweepCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert "--values" in err and "'abc'" in err
-
-    def test_epsilon_outside_unit_interval_is_input_error(self, tmp_path, capsys):
-        rc = cli.main(["sweep", "--axis", "epsilon", "--values", "2", "--n", "10",
-                       "--out", str(tmp_path / "out")])
-        assert rc == 2
-        assert "epsilon must lie in (0, 1), got 2.0" in capsys.readouterr().err
-        assert not (tmp_path / "out" / "sweep.csv").exists()
-
-    def test_epsilon_rows_run_one_estimate(self, tmp_path, capsys, draws):
-        argv = ["--sigma-a", "1e-3", "--n", str(3 * montecarlo.BLOCK + 17), "--seed", "5"]
-        assert cli.main(["sweep", "--axis", "epsilon", "--values", "1e-5,1e-4,1e-3", *argv,
-                         "--out", str(tmp_path / "sweep")]) == 0
-        assert len(draws) == 4  # one per block, shared by the three rows
-        assert cli.main(["mc", *argv, "--out", str(tmp_path / "mc")]) == 0
-        with open(tmp_path / "sweep" / "sweep.csv", newline="") as fh:
-            rows = list(csv.reader(fh))[1:]
-        with open(tmp_path / "mc" / "mc.csv", newline="") as fh:
-            (estimate,) = list(csv.reader(fh))[1:]
-        assert [row[1:3] for row in rows] == [estimate[1:3]] * 3
 
     def test_bad_value_anywhere_exits_before_any_draw(self, tmp_path, capsys, draws):
         rc = cli.main(["sweep", "--axis", "t2", "--values", "1e-3,-1", "--n", "2000000",
@@ -488,13 +469,13 @@ class TestManifestParameters:
                 "--n", "50", "--seed", "3", "--workers", "2"] + (["--t2", t2] if t2 else [])
         expected = json.loads(json.dumps(cli._jsonable({**asdict(cfg), "workers": 2})))
         assert cli.main(["mc", *argv, "--out", str(tmp_path / "mc")]) == 0
-        assert cli.main(["sweep", *argv, "--axis", "epsilon-reference-line",
+        assert cli.main(["sweep", *argv, "--axis", "sigma_a",
                          "--values", "1e-5,1e-4", "--out", str(tmp_path / "sweep")]) == 0
         mc = json.loads(read_bytes(tmp_path / "mc" / "mc_manifest.json"))
         sweep = json.loads(read_bytes(tmp_path / "sweep" / "sweep_manifest.json"))
         assert mc["parameters"] == expected
         assert set(mc["parameters"]["noise"]) == {"sigma_a", "sigma_t_s", "distribution"}
-        assert sweep["parameters"] == {**expected, "axis": "epsilon", "values": [1e-5, 1e-4]}
+        assert sweep["parameters"] == {**expected, "axis": "sigma_a", "values": [1e-5, 1e-4]}
 
     def test_mc_without_t2_is_mc_with_infinite_t2(self, tmp_path, capsys):
         argv = ["mc", "--sigma-a", "1e-3", "--sigma-t", "1e-12", "--n", "50", "--seed", "5"]

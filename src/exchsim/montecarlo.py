@@ -59,10 +59,11 @@ class McConfig:
     sensitivity: float = 1.0
 
     def __post_init__(self):
-        if int(self.n_samples) != self.n_samples or self.n_samples < 1:
+        # range first, then x % 1 == 0: int() would raise on nan or inf without naming the field
+        if not (self.n_samples >= 1 and self.n_samples % 1 == 0):
             raise ValueError(f"n_samples must be an integer >= 1, got {self.n_samples!r}")
         object.__setattr__(self, "n_samples", int(self.n_samples))
-        if int(self.seed) != self.seed or not (0 <= self.seed < 2**64):
+        if not (0 <= self.seed < 2**64 and self.seed % 1 == 0):
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "target_alpha", _checked_alpha(self.target_alpha, "target_alpha"))

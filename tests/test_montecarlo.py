@@ -92,14 +92,16 @@ def hexed(result):
 
 class TestConfigValidation:
     def test_rejects_zero_samples(self):
-        with pytest.raises(ValueError, match="n_samples"):
-            make_config(n=0)
+        for n in (0, 2.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"n_samples must be an integer >= 1, got {n!r}")):
+                make_config(n=n)
 
     def test_rejects_bad_seed(self):
-        with pytest.raises(ValueError, match="seed"):
-            make_config(seed=-1)
-        with pytest.raises(ValueError, match="seed"):
-            make_config(seed=2**64)
+        for seed in (-1, 2**64, 0.5, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"seed must be a 64-bit unsigned integer, got {seed!r}")):
+                make_config(seed=seed)
 
     @pytest.mark.parametrize("kwargs, name", [
         ({"sigma_a": 1e154}, "sensitivity * sigma_a"),

@@ -553,8 +553,12 @@ class TestSweep:
         assert draws == []
 
     def test_unknown_axis_rejected(self):
-        with pytest.raises(ValueError, match="unknown sweep axis"):
-            sweep(make_config(n=10), "voltage", [1.0])
+        # epsilon is a threshold, for feasibility, not a field of the estimated config
+        for axis in ("voltage", "epsilon", "epsilon-reference-line", "epsilon_reference_line"):
+            message = (f"unknown sweep axis {axis!r}; expected one of "
+                       "('sigma_a', 'sigma_t', 't2', 'target_alpha')")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                sweep(make_config(n=10), axis, [1e-5])
 
 
 class TestSweepRowsEqualEstimates:

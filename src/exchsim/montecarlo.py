@@ -179,7 +179,7 @@ def _estimate(cfgs, n_workers):
     min(n_workers, number of blocks, os.cpu_count()) threads are started,
     with 16 blocks per thread in flight.
     """
-    if n_workers < 1:
+    if not n_workers >= 1:
         raise ValueError(f"n_workers must be >= 1, got {n_workers!r}")
     # draw key -> (effective noise, (nominal, target_alpha) -> rows); amplitude
     # noise enters through the sensitivity

@@ -418,6 +418,19 @@ class TestSweepCommand:
                        "--out", str(tmp_path / "out")])
         assert rc == 2
 
+    # epsilon is a threshold, for feasibility; its sweep axis and aliases are retired
+    @pytest.mark.parametrize("axis", ["epsilon", "epsilon-reference-line",
+                                      "epsilon_reference_line"])
+    def test_retired_epsilon_axis_is_input_error(self, tmp_path, capsys, draws, axis):
+        rc = cli.main(["sweep", "--axis", axis, "--values", "1e-5", "--n", "20",
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: unknown sweep axis {axis!r}; expected one of "
+            "('sigma_a', 'sigma_t', 't2', 'target_alpha')\n")
+        assert draws == []
+        assert not (tmp_path / "out" / "sweep.csv").exists()
+
     def test_empty_values_is_input_error(self, tmp_path, capsys):
         rc = cli.main(["sweep", "--axis", "sigma_a", "--values", ",",
                        "--out", str(tmp_path / "out")])

@@ -146,6 +146,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="n_workers"):
             estimate_infidelity(make_config(n=10), n_workers=0)
 
+    def test_rejects_nan_worker_count(self, draws):
+        message = "n_workers must be >= 1, got nan"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            estimate_infidelity(make_config(n=10), n_workers=math.nan)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sweep(make_config(n=10), "sigma_a", [1e-3], n_workers=math.nan)
+        assert draws == []
+
     def test_no_dephasing_is_stored_as_infinite_t2(self):
         # Left out, None, or replaced by None: one record, T2 = inf on both qubits.
         explicit = make_config(t2=math.inf)

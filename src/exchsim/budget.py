@@ -121,30 +121,6 @@ def _check_epsilon(epsilon):
     return epsilon
 
 
-def max_gate_time(epsilon, t2_s):
-    """Decoherence ceiling on the gate duration: T < epsilon * T2."""
-    epsilon = _check_epsilon(epsilon)
-    if math.isnan(t2_s) or t2_s < 0.0:
-        raise ValueError(f"t2_s must be >= 0, got {t2_s!r}")
-    return epsilon * t2_s
-
-
-def min_gate_time_from_jitter(sigma_t_s, eps_share):
-    """Duration floor sigma_t / eps_share so that the jitter error stays below eps_share."""
-    if not (eps_share > 0.0):
-        raise ValueError(f"eps_share must be > 0, got {eps_share!r}")
-    if math.isnan(sigma_t_s) or sigma_t_s < 0.0:
-        raise ValueError(f"sigma_t_s must be >= 0, got {sigma_t_s!r}")
-    return sigma_t_s / eps_share
-
-
-def required_bandwidth(duration_s):
-    """Control bandwidth needed for a gate of the given duration: 1/T."""
-    if not (duration_s > 0.0):
-        raise ValueError(f"duration_s must be > 0, got {duration_s!r}")
-    return 1.0 / duration_s
-
-
 def _flip_probability(duration_s, t2_s):
     return -0.5 * math.expm1(-duration_s / t2_s)  # (1 - exp(-T/T2)) / 2, precise at T << T2
 
@@ -175,8 +151,8 @@ def feasibility(platform, tech, epsilon, strict_bandwidth=False):
     """
     epsilon = _check_epsilon(epsilon)
     amp_error = platform.sensitivity * tech.sigma_a
-    t_max = max_gate_time(epsilon, platform.t2_s)
-    jitter_floor = min_gate_time_from_jitter(tech.sigma_t_s, epsilon)
+    t_max = epsilon * platform.t2_s
+    jitter_floor = tech.sigma_t_s / epsilon
     factors = dict.fromkeys(CONSTRAINTS, 1.0)
     limiting = []
 
@@ -186,7 +162,7 @@ def feasibility(platform, tech, epsilon, strict_bandwidth=False):
         t_min = math.inf
         jitter_bound = jitter_floor
     else:
-        t_min = min_gate_time_from_jitter(tech.sigma_t_s, epsilon - amp_error)
+        t_min = tech.sigma_t_s / (epsilon - amp_error)
         jitter_bound = t_min
     if tech.sigma_t_s > 0.0 and jitter_bound >= t_max:
         factors["jitter"] = jitter_bound / t_max if t_max > 0.0 else math.inf
@@ -196,8 +172,7 @@ def feasibility(platform, tech, epsilon, strict_bandwidth=False):
         limiting.append("decoherence")
 
     # inf at a zero duration: t_min is 0 when sigma_t is, and t_max when epsilon T2 underflows
-    bw_needed, bw_at_t_min = (required_bandwidth(t) if t > 0.0 else math.inf
-                              for t in (t_max, t_min))
+    bw_needed, bw_at_t_min = (1.0 / t if t > 0.0 else math.inf for t in (t_max, t_min))
     bandwidth_ok = tech.bw_high_hz > bw_needed
     window_low = t_min
     if strict_bandwidth:

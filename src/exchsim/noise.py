@@ -1,7 +1,6 @@
 """Classical control-noise models for exchange pulses.
 
-Covers per-pulse amplitude and timing noise and band-integrated SNR
-figures.
+Covers per-pulse amplitude and timing noise.
 
 The noise model is white-over-band and quasi-static per pulse: each gate
 draws one relative-amplitude scalar and one timing scalar.
@@ -160,14 +159,3 @@ def sample_pulse(rng, nominal, noise):
     amp, shift, _ = draw_errors_block(key, 0, 1, nominal.duration_s, noise)
     return PulseSpec(nominal.j_rad_per_s * (1.0 + amp[0]), nominal.duration_s + shift[0])
 
-
-def integrated_snr(sigma_rel):
-    """Band-integrated SNR of a control channel with relative RMS noise sigma_rel.
-
-    sigma_rel = 0 returns the infinite-SNR sentinel (math.inf).
-    """
-    if not (sigma_rel >= 0.0):
-        raise ValueError(f"sigma_rel must be >= 0, got {sigma_rel!r}")
-    if sigma_rel == 0.0:
-        return math.inf
-    return 1.0 / sigma_rel

@@ -10,8 +10,12 @@ from contextlib import contextmanager
 import numpy as np
 
 from exchsim import budget, cli, core, dephasing, gates, montecarlo
-from exchsim.noise import ControlNoiseSpec, integrated_snr
+from exchsim.noise import ControlNoiseSpec
 from helpers import expm_series, random_density
+
+
+SI_SPIN = budget.builtin_platforms()["si-spin"]
+CATALOG = {tech.name: tech for tech in budget.builtin_catalog()}
 
 
 @contextmanager
@@ -26,23 +30,23 @@ def criterion(number, description):
 
 def test_criterion_1_gate_time_bound():
     with criterion(1, "max gate time at epsilon=1e-5, T2=0.5 ms is 5.000e-9 s"):
-        assert budget.max_gate_time(1e-5, 0.5e-3) == 5.000e-9
+        assert SI_SPIN.t2_s == 0.5e-3
+        report = budget.feasibility(SI_SPIN, CATALOG["modelocked-laser-10GHz"], 1e-5)
+        assert report.t_max_s == 5.000e-9
 
 
 def test_criterion_2_jitter_bound():
     with criterion(2, "100 ps jitter at epsilon=1e-5 forces T > 1.000e-5 s"):
-        value = budget.min_gate_time_from_jitter(100e-12, 1e-5)
+        electrical = CATALOG["electrical-pulse-generator"]
+        assert electrical.sigma_t_s == 100e-12
+        value = budget.feasibility(SI_SPIN, electrical, 1e-5).jitter_floor_s
         assert value == 100e-12 / 1e-5
         assert f"{value:.3e}" == "1.000e-05"
 
 
 def test_criterion_3_improvement_factor():
     with criterion(3, "electrical pulse generator: infeasible, amplitude factor 1.0e3"):
-        report = budget.feasibility(
-            budget.builtin_platforms()["si-spin"],
-            dict((t.name, t) for t in budget.builtin_catalog())["electrical-pulse-generator"],
-            1e-5,
-        )
+        report = budget.feasibility(SI_SPIN, CATALOG["electrical-pulse-generator"], 1e-5)
         assert not report.feasible
         assert report.improvement_factors["amplitude"] == (1.0 * 1e-2) / 1e-5
         assert f"{report.improvement_factors['amplitude']:.1e}" == "1.0e+03"
@@ -50,11 +54,11 @@ def test_criterion_3_improvement_factor():
 
 def test_criterion_4_laser_catalog_numbers():
     with criterion(4, "laser entry: sigma_a=5e-4, sigma_t=240 fs, SNR 2000, T_min 24 ns"):
-        laser = dict((t.name, t) for t in budget.builtin_catalog())["modelocked-laser-10GHz"]
+        laser = CATALOG["modelocked-laser-10GHz"]
         assert laser.sigma_a == 5e-4
         assert laser.sigma_t_s == 240e-15
-        assert integrated_snr(5e-4) == 2000.0
-        t_min = budget.min_gate_time_from_jitter(laser.sigma_t_s, 1e-5)
+        assert 1.0 / laser.sigma_a == 2000.0
+        t_min = budget.feasibility(SI_SPIN, laser, 1e-5).jitter_floor_s
         assert t_min == 240e-15 / 1e-5
         assert f"{t_min:.1e}" == "2.4e-08"
 

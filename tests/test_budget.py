@@ -31,51 +31,38 @@ epsilon = 1e-5
 
 
 class TestScalarBounds:
-    def test_max_gate_time_paper_point(self):
-        assert budget.max_gate_time(1e-5, 0.5e-3) == 5.000e-9
-
-    def test_max_gate_time_linear(self):
-        assert budget.max_gate_time(1e-4, 0.5e-3) == pytest.approx(50e-9, rel=1e-12)
-        assert budget.max_gate_time(1e-5, 0.0) == 0.0
-
     @pytest.mark.parametrize("epsilon", [0.0, 1.0, 2.0, -1e-5, math.inf, math.nan])
     def test_threshold_rejects_epsilon_outside_unit_interval(self, epsilon):
         message = f"epsilon must lie in (0, 1), got {epsilon!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             budget.Threshold(epsilon)
 
-    def test_max_gate_time_rejects_bad_epsilon(self):
-        with pytest.raises(ValueError):
-            budget.max_gate_time(0.0, 1e-3)
-        with pytest.raises(ValueError):
-            budget.max_gate_time(1.0, 1e-3)
-
-    def test_min_gate_time_from_jitter(self):
-        assert budget.min_gate_time_from_jitter(100e-12, 1e-5) == 100e-12 / 1e-5
-        assert budget.min_gate_time_from_jitter(100e-12, 1e-5) == pytest.approx(1e-5, rel=1e-12)
-        assert budget.min_gate_time_from_jitter(240e-15, 1e-5) == pytest.approx(24e-9, rel=1e-12)
-        assert budget.min_gate_time_from_jitter(0.0, 1e-5) == 0.0
-
-    @pytest.mark.parametrize("call, message", [
-        (lambda: budget.max_gate_time(1e-5, -1e-3), "t2_s must be >= 0, got -0.001"),
-        (lambda: budget.max_gate_time(1e-5, math.nan), "t2_s must be >= 0, got nan"),
-        (lambda: budget.min_gate_time_from_jitter(1e-12, 0.0), "eps_share must be > 0, got 0.0"),
-        (lambda: budget.min_gate_time_from_jitter(-1e-12, 1e-5),
-         "sigma_t_s must be >= 0, got -1e-12"),
-    ], ids=["negative-t2", "nan-t2", "zero-share", "negative-jitter"])
-    def test_gate_time_bounds_reject_bad_inputs_naming_them(self, call, message):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            call()
-
-    def test_required_bandwidth(self):
-        assert budget.required_bandwidth(5e-9) == pytest.approx(2e8, rel=1e-12)
-        assert budget.required_bandwidth(1.0) == 1.0
-        assert budget.required_bandwidth(10e-6) == pytest.approx(1e5, rel=1e-12)
-        with pytest.raises(ValueError):
-            budget.required_bandwidth(0.0)
-
 
 class TestFeasibility:
+    # the window formulas, exactly: the ceiling, both duration floors and the
+    # bandwidth 1/T each duration needs (inf at T = 0, where epsilon T2 underflows
+    # or sigma_t is 0)
+    @pytest.mark.parametrize("t2", [0.5e-3, 1e-320])
+    @pytest.mark.parametrize("epsilon", [1e-5, 1e-3, 1e-2])
+    @pytest.mark.parametrize("tech", [
+        ELECTRICAL, LASER,
+        budget.TechnologySpec(name="noiseless", sigma_a=0.0, sigma_t_s=0.0, bw_low_hz=0.0,
+                              bw_high_hz=1e12),
+    ], ids=lambda tech: tech.name)
+    def test_report_fields_are_the_window_formulas(self, tech, epsilon, t2):
+        platform = budget.PlatformSpec(t2_s=t2, sensitivity=1.0)
+        report = budget.feasibility(platform, tech, epsilon)
+        amp_error = platform.sensitivity * tech.sigma_a
+        assert report.t_max_s == epsilon * t2
+        assert report.jitter_floor_s == tech.sigma_t_s / epsilon
+        if amp_error < epsilon:
+            assert report.t_min_s == tech.sigma_t_s / (epsilon - amp_error)
+        else:
+            assert report.t_min_s == math.inf
+        for t, bandwidth in ((report.t_max_s, report.required_bandwidth_hz),
+                             (report.t_min_s, report.required_bandwidth_at_t_min_hz)):
+            assert bandwidth == (1.0 / t if t > 0.0 else math.inf)
+
     def test_electrical_generator_infeasible_with_1e3_amplitude_factor(self):
         report = budget.feasibility(SI, ELECTRICAL, 1e-5)
         assert not report.feasible

@@ -1,4 +1,4 @@
-"""Tests for control-noise sampling and SNR figures."""
+"""Tests for control-noise sampling."""
 
 import math
 from dataclasses import fields
@@ -291,21 +291,3 @@ class TestDrawErrorsBlock:
         assert noise._MAX_RADIUS == r + 53.0 * math.log(2.0) / r
         assert f"{noise._MAX_RADIUS:.2f}" == "13.71"
 
-
-class TestSnrFigures:
-    def test_integrated_snr_values(self):
-        assert noise.integrated_snr(1e-2) == pytest.approx(100.0, rel=1e-15)
-        assert noise.integrated_snr(5e-4) == 2000.0
-        # the threshold 1e-5 demands an SNR above 1e5
-        assert noise.integrated_snr(1e-5) == pytest.approx(1e5, rel=1e-12)
-
-    def test_80_db_of_amplitude_accuracy_is_a_relative_error_of_1e_4(self):
-        # the README's decibel convention: SNR = 10^(dB/20)
-        assert 20.0 * math.log10(noise.integrated_snr(1e-4)) == pytest.approx(80.0, rel=1e-15)
-
-    def test_zero_noise_gives_infinite_snr(self):
-        assert noise.integrated_snr(0.0) == math.inf
-
-    def test_negative_noise_rejected(self):
-        with pytest.raises(ValueError):
-            noise.integrated_snr(-1e-3)

@@ -39,12 +39,11 @@ EXPORTS = {
     "gates": {"PulseSpec", "exchange_unitary", "gate_error_vs_phase", "phase_from_pulse",
               "profile_pulse", "pulse_for_target", "relative_error_to_phase_error",
               "relative_error_to_phase_error_first_order", "swap_power_target"},
-    "noise": {"ControlNoiseSpec", "RejectedSampleError", "integrated_snr", "sample_pulse"},
+    "noise": {"ControlNoiseSpec", "RejectedSampleError", "sample_pulse"},
     "dephasing": {"DephasingSpec", "QuantumChannel4", "apply_channel",
                   "compose_channel_after_unitary", "dephasing_channel", "entanglement_fidelity"},
     "budget": {"FeasibilityReport", "PlatformSpec", "TechnologySpec", "Threshold",
-               "builtin_catalog", "builtin_platforms", "feasibility", "load_specs",
-               "max_gate_time", "min_gate_time_from_jitter", "required_bandwidth"},
+               "builtin_catalog", "builtin_platforms", "feasibility", "load_specs"},
     "montecarlo": {"McConfig", "McResult", "analytic_infidelity", "estimate_infidelity",
                    "sweep"},
 }
@@ -52,9 +51,11 @@ HOME = {name: module for module, names in EXPORTS.items() for name in names}
 # Public names the package or a submodule once defined and no longer does, by former submodule.
 DELETED = {
     "noise": {"RectificationMap", "db_to_amplitude_snr", "db_to_power_snr", "realized_pulse",
-              "rectification_exchange", "sensitivity_map", "shot_noise_relative_amplitude"},
+              "rectification_exchange", "sensitivity_map", "shot_noise_relative_amplitude",
+              "integrated_snr"},
     "gates": {"HBAR_JS", "constant_pulse", "exchange_rate_from_energy"},
     "dephasing": {"average_fidelity_from_entanglement"},
+    "budget": {"max_gate_time", "min_gate_time_from_jitter", "required_bandwidth"},
 }
 FORMER_HOME = {name: module for module, names in DELETED.items() for name in names}
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -257,7 +258,7 @@ class TestLeanStartup:
 
 class TestLazyExports:
     def test_the_exported_names_are_pinned(self):
-        assert len(HOME) == 41
+        assert len(HOME) == 37
         assert sorted(exchsim.__all__) == sorted(HOME)
 
     @pytest.mark.parametrize("name", sorted(HOME))

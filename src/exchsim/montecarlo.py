@@ -179,8 +179,10 @@ def _estimate(cfgs, n_workers):
     min(n_workers, number of blocks, os.cpu_count()) threads are started,
     with 16 blocks per thread in flight.
     """
-    if not n_workers >= 1:
-        raise ValueError(f"n_workers must be >= 1, got {n_workers!r}")
+    # range first, then x % 1 == 0, as McConfig checks n_samples
+    if not (n_workers >= 1 and n_workers % 1 == 0):
+        raise ValueError(f"n_workers must be an integer >= 1, got {n_workers!r}")
+    n_workers = int(n_workers)
     # draw key -> (effective noise, (nominal, target_alpha) -> rows); amplitude
     # noise enters through the sensitivity
     groups, dephased = {}, set()

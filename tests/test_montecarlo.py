@@ -147,12 +147,27 @@ class TestConfigValidation:
             estimate_infidelity(make_config(n=10), n_workers=0)
 
     def test_rejects_nan_worker_count(self, draws):
-        message = "n_workers must be >= 1, got nan"
+        message = "n_workers must be an integer >= 1, got nan"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             estimate_infidelity(make_config(n=10), n_workers=math.nan)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             sweep(make_config(n=10), "sigma_a", [1e-3], n_workers=math.nan)
         assert draws == []
+
+    @pytest.mark.parametrize("workers", [2.5, 1.5])
+    def test_rejects_fractional_worker_count(self, draws, workers):
+        message = f"n_workers must be an integer >= 1, got {workers!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            estimate_infidelity(make_config(n=3 * BLOCK), n_workers=workers)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sweep(make_config(n=3 * BLOCK), "sigma_a", [1e-3], n_workers=workers)
+        assert draws == []
+
+    def test_integral_float_worker_count_equals_the_int(self):
+        cfg = make_config(n=3 * BLOCK, sigma_a=1e-3, sigma_t=1e-12, t2=5e-4)
+        as_float, as_int = (estimate_infidelity(cfg, n_workers=workers) for workers in (2.0, 2))
+        assert ([float(value).hex() for value in astuple(as_float)]
+                == [float(value).hex() for value in astuple(as_int)])
 
     def test_no_dephasing_is_stored_as_infinite_t2(self):
         # Left out, None, or replaced by None: one record, T2 = inf on both qubits.

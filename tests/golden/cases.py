@@ -140,6 +140,11 @@ CASES = {
                                  "--out", "out"],
     "bad-mc-negative-alpha": ["mc", "--alpha=-0.5", "--n", "10", "--out", "out"],
     "bad-mc-workers-zero": ["mc", *MC, "--workers", "0", "--out", "out"],
+    "bad-mc-negative-sigma-t": ["mc", *MC, "--sigma-t", "-1e-12", "--out", "out"],
+    "bad-mc-zero-duration": ["mc", *MC, "--duration", "0", "--out", "out"],
+    "bad-mc-overflowing-strength": ["mc", "--alpha", "1", "--duration", "1e-320", "--n", "10",
+                                    "--out", "out"],
+    "bad-gate-dj-out-of-range": ["gate", "--alpha", "0.5", "--dj", "2"],
     "bad-mc-zero-samples": ["mc", *MC, "--n", "0", "--out", "out"],
     "bad-mc-negative-seed": ["mc", *MC, "--seed=-1", "--out", "out"],
     "bad-mc-negative-sensitivity": ["mc", *MC, "--sensitivity=-1", "--out", "out"],

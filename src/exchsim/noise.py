@@ -158,4 +158,3 @@ def sample_pulse(rng, nominal, noise):
     key = int(rng.integers(2**64, dtype=np.uint64))
     amp, shift, _ = draw_errors_block(key, 0, 1, nominal.duration_s, noise)
     return PulseSpec(nominal.j_rad_per_s * (1.0 + amp[0]), nominal.duration_s + shift[0])
-

@@ -6,8 +6,9 @@ The noise model is white-over-band and quasi-static per pulse: each gate
 draws one relative-amplitude scalar and one timing scalar.
 draw_errors_block draws one block of samples from (seed, block index)
 alone, so parallel callers get the same draws for any worker count: each
-BLOCK of sample indices has its own Philox4x64 stream, and gaussian draws
-come from numpy's ziggurat on it.  RNG_SCHEME names this contract.
+BLOCK of sample indices has its own SFC64 stream, seeded by Philox4x64 words
+keyed by (seed, attempt) and the block, and gaussian draws come from numpy's
+ziggurat on it.  RNG_SCHEME names this contract.
 
 numpy and gates are imported by the functions that draw or build pulses, so
 the specs, constants and RejectedSampleError load without numpy.
@@ -22,11 +23,11 @@ DISTRIBUTIONS = ("gaussian", "uniform")
 # Resample-then-fail policy for unphysical draws (duration <= 0 or a < -1).
 MAX_RESAMPLES = 100
 # Samples per Monte Carlo block (montecarlo partitions its runs by it, and
-# each block has its own Philox stream); each thread's reused draw buffer
+# each block has its own SFC64 stream); each thread's reused draw buffer
 # holds the two variates per sample of one block.
 BLOCK = 8192
 # The draw contract of draw_errors_block; manifests record it.
-RNG_SCHEME = "philox4x64-block-stream-v4"
+RNG_SCHEME = "philox4x64-keyed-sfc64-block-stream-v5"
 # The largest |z| numpy's ziggurat (random_standard_normal) can return.  The
 # layers below the tail return |z| < R, the tail start R = 3.6541528853610088.
 # The tail returns R + x with x = -ln(1 - u) / R and u = (word >> 11) 2**-53
@@ -36,7 +37,7 @@ RNG_SCHEME = "philox4x64-block-stream-v4"
 _ZIGGURAT_R = 3.6541528853610088
 _MAX_RADIUS = _ZIGGURAT_R + 53.0 * math.log(2.0) / _ZIGGURAT_R
 
-_scratch = threading.local()  # this thread's variate buffer and generator, reused by every draw
+_scratch = threading.local()  # this thread's variate buffer and generators, reused by every draw
 
 
 class RejectedSampleError(RuntimeError):
@@ -73,25 +74,33 @@ def _is_physical(duration_s, amp, shift):
 
 def _block_errors(seed, attempt, block, size, noise):
     # Errors of the first `size` samples of block `block` under key (seed,
-    # attempt), as new arrays (never views of the buffer): the Philox4x64
-    # stream with initial counter (0, block, 0, 0), read into this thread's
-    # reused buffer by Generator.standard_normal (numpy's ziggurat) or
-    # Generator.random.  A block's stream advances only counter word 0, by far
-    # less than 2**64, so streams never overlap.  The thread's one Philox is
-    # set to the state a new Philox(counter=..., key=...) starts in (empty
-    # output buffer), which skips the OS-entropy SeedSequence numpy builds for
-    # every new Philox, even a keyed one.
+    # attempt), as new arrays (never views of the buffer).  The first three
+    # words of the Philox4x64 stream with that key and initial counter
+    # (0, block, 0, 0) seed an SFC64 as numpy's sfc64_set_seed does (state
+    # (w0, w1, w2), counter 1, 12 outputs discarded), which fills this
+    # thread's reused buffer by Generator.standard_normal (numpy's ziggurat)
+    # or Generator.random.  SFC64's cycles are at least 2**64 long, every
+    # stream's counter starts at 13 and the step is invertible, so two streams
+    # meet within a block's reach only if they start from the same words.
+    # The thread keeps one Philox and one SFC64 and sets their states, which
+    # skips the OS-entropy SeedSequence numpy builds for every new one.
     generator = getattr(_scratch, "generator", None)
     if generator is None:
         import numpy as np
 
         _scratch.variates = np.empty(2 * BLOCK)  # two variates per sample
-        generator = _scratch.generator = np.random.Generator(np.random.Philox())
-    generator.bit_generator.state = {
+        _scratch.philox = np.random.Philox()
+        generator = _scratch.generator = np.random.Generator(np.random.SFC64())
+    _scratch.philox.state = {
         "bit_generator": "Philox",
         "state": {"counter": (0, block, 0, 0), "key": (seed, attempt)},
         "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
     }
+    words = _scratch.philox.random_raw(4)
+    words[3] = 1  # SFC64's counter, after the three seed words
+    generator.bit_generator.state = {"bit_generator": "SFC64", "state": {"state": words},
+                                     "has_uint32": 0, "uinteger": 0}
+    generator.bit_generator.random_raw(12)  # discarded; cheaper than output=False
     z = _scratch.variates[:2 * size]
     if noise.distribution == "gaussian":
         generator.standard_normal(out=z)
@@ -107,8 +116,9 @@ def _block_errors(seed, attempt, block, size, noise):
 def draw_errors_block(seed, block, size, duration_s, noise):
     """Physical error draws (a, t, rejected) of the first `size` samples of block `block`.
 
-    Counter-based (Salmon et al., SC'11): block k, samples k BLOCK to
-    (k+1) BLOCK - 1, has its own Philox4x64 stream, with key (seed, 0) and
+    Keyed by a counter-based generator (Salmon et al., SC'11): block k,
+    samples k BLOCK to (k+1) BLOCK - 1, has its own SFC64 stream, seeded by
+    the first three words of the Philox4x64 stream with key (seed, 0) and
     initial counter (0, k, 0, 0), so its draws are a function of (seed, k)
     alone.  Sample k BLOCK + j takes variates 2j and 2j+1 of it.  Gaussian
     errors are sigma times Generator.standard_normal (numpy's ziggurat,
@@ -116,7 +126,7 @@ def draw_errors_block(seed, block, size, duration_s, noise):
     Generator.random.  A ziggurat variate takes a variable number of words,
     so a sample depends on the earlier samples of its block, and a call draws
     a prefix of one block: 1 <= size <= BLOCK.  Unphysical draws are redrawn
-    from the same position of block k's stream under key (seed, attempt) for
+    from the same position of block k's SFC64 stream under key (seed, attempt) for
     attempt = 1..MAX_RESAMPLES, then RejectedSampleError names the sample.
     `rejected` counts the discarded draws of each sample.
     """

@@ -5,8 +5,9 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from numpy.random.bit_generator import ISeedSequence
 
-from exchsim import gates, noise
+from exchsim import gates, montecarlo, noise
 from exchsim.noise import BLOCK
 
 
@@ -55,7 +56,7 @@ class TestSamplePulse:
 
     def test_resample_exhaustion_raises(self, monkeypatch):
         spec = noise.ControlNoiseSpec(sigma_a=0.0, sigma_t_s=NOMINAL.duration_s)
-        seed = 7  # the lowest seed whose key's first draw has T + t <= 0
+        seed = 6  # the lowest seed whose key's first draw has T + t <= 0
         key = int(_rng(seed).integers(2**64, dtype=np.uint64))
         assert noise.draw_errors_block(key, 0, 1, NOMINAL.duration_s, spec)[2][0] > 0
         monkeypatch.setattr(noise, "MAX_RESAMPLES", 0)
@@ -86,12 +87,26 @@ def block_draws(seed, n, duration_s, spec):
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
+class PhiloxWords(ISeedSequence):
+    """A seed sequence whose state is the first words of a new Philox with this key and counter."""
+
+    def __init__(self, seed, attempt, block):
+        self.counter = np.array([0, block, 0, 0], dtype=np.uint64)
+        self.key = np.array([seed, attempt], dtype=np.uint64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        assert (n_words, dtype) == (3, np.uint64)  # what SFC64 asks of its seed sequence
+        return np.random.Philox(counter=self.counter, key=self.key).random_raw(n_words)
+
+
 def reference_variates(seed, attempt, index, distribution):
-    """Variates 2j and 2j+1 of block k's stream under key (seed, attempt), index = k BLOCK + j."""
+    """Variates 2j and 2j+1 of block k's stream under key (seed, attempt), index = k BLOCK + j.
+
+    numpy's own SFC64 constructor seeds the stream from the seed sequence's
+    three words, sharing no code or state-setting with noise._block_errors.
+    """
     block, j = divmod(index, BLOCK)
-    bitgen = np.random.Philox(counter=np.array([0, block, 0, 0], dtype=np.uint64),
-                              key=np.array([seed, attempt], dtype=np.uint64))
-    generator = np.random.Generator(bitgen)
+    generator = np.random.Generator(np.random.SFC64(PhiloxWords(seed, attempt, block)))
     draw = generator.standard_normal if distribution == "gaussian" else generator.random
     variates = draw(2 * j + 2)
     return float(variates[2 * j]), float(variates[2 * j + 1])
@@ -109,6 +124,28 @@ def scalar_reference_draw(seed, index, duration_s, spec):
         if duration_s + shift > 0.0 and amp >= -1.0:
             return amp, shift, attempt
     raise AssertionError(f"sample {index} has no physical draw")
+
+
+def reference_block(seed, block, size, duration_s, spec):
+    """draw_errors_block's (a, t, rejected), from whole-block reference streams: each
+    sample takes its first physical draw over attempts 0, 1, ..."""
+    draws = []
+    for attempt in range(noise.MAX_RESAMPLES + 1):
+        generator = np.random.Generator(np.random.SFC64(PhiloxWords(seed, attempt, block)))
+        if spec.distribution == "gaussian":
+            v = generator.standard_normal(2 * size)
+            amp, shift = spec.sigma_a * v[0::2], spec.sigma_t_s * v[1::2]
+        else:
+            v = generator.random(2 * size)
+            amp = spec.sigma_a * math.sqrt(3.0) * (2.0 * v[0::2] - 1.0)
+            shift = spec.sigma_t_s * math.sqrt(3.0) * (2.0 * v[1::2] - 1.0)
+        draws.append((amp, shift, (duration_s + shift > 0.0) & (amp >= -1.0)))
+        if np.any([physical for _, _, physical in draws], axis=0).all():
+            break
+    amp, shift, physical = (np.array(column) for column in zip(*draws))
+    first = np.argmax(physical, axis=0)
+    samples = np.arange(size)
+    return amp[first, samples], shift[first, samples], first.astype(np.int64)
 
 
 def normal_ks_statistic(draws):
@@ -163,6 +200,28 @@ class TestDrawErrorsBlock:
         assert whole[1][-1] == pytest.approx(ref_shift, rel=1e-12, abs=0.0)
         assert whole[2][-1] == ref_rejected
 
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize("name", SPECS)
+    def test_the_estimators_draws_equal_the_reference_route_bit_for_bit(self, monkeypatch,
+                                                                        name, workers):
+        n, drawn = 3 * BLOCK + 17, []  # the last block ragged
+
+        def record(*args):
+            drawn.append((args, noise.draw_errors_block(*args)))
+            return drawn[-1][1]
+
+        monkeypatch.setattr(montecarlo, "draw_errors_block", record)
+        cfg = montecarlo.McConfig(n_samples=n, seed=self.SEED, target_alpha=0.5,
+                                  nominal=gates.pulse_for_target(0.5, self.T),
+                                  noise=self.SPECS[name])
+        montecarlo.estimate_infidelity(cfg, n_workers=workers)
+        assert sorted((args[1], args[2]) for args, _ in drawn) == [
+            (0, BLOCK), (1, BLOCK), (2, BLOCK), (3, 17)]
+        for args, arrays in drawn:
+            want = reference_block(*args)
+            assert [array.tobytes() for array in arrays] == [array.tobytes() for array in want]
+            assert (want[2].sum() > 0) == name.endswith("rejections")
+
     @pytest.mark.parametrize("size", [-1, 0, BLOCK + 1])
     def test_a_size_outside_one_block_is_rejected(self, size):
         with pytest.raises(ValueError, match=f"size must lie in \\[1, BLOCK = {BLOCK}\\], "
@@ -195,17 +254,19 @@ class TestDrawErrorsBlock:
                 assert np.array_equal(array, want)
 
     def test_draws_reuse_this_threads_generator(self, monkeypatch):
-        # A new Philox builds an OS-entropy SeedSequence even when given a key,
-        # so each thread keeps one and re-keys it per block and attempt.
+        # A new Philox or SFC64 builds an OS-entropy SeedSequence even when
+        # given a key or seed, so each thread keeps one of each and sets their
+        # states per block and attempt.
         spec, n = self.SPECS["uniform-rejections"], 2 * BLOCK + 17
         expected = block_draws(self.SEED, n, self.T, spec)
 
-        def no_new_philox(*args, **kwargs):
-            raise AssertionError("a draw built a new Philox")
+        for name in ("Philox", "SFC64"):
+            def no_new_bit_generator(*args, name=name, **kwargs):
+                raise AssertionError(f"a draw built a new {name}")
 
-        monkeypatch.setattr(np.random, "Philox", no_new_philox)
+            monkeypatch.setattr(np.random, name, no_new_bit_generator)
         drawn = block_draws(self.SEED, n, self.T, spec)
-        assert drawn[2].sum() > 0  # redraw attempts re-key the same generator too
+        assert drawn[2].sum() > 0  # redraw attempts re-key the same generators too
         for array, want in zip(drawn, expected):
             assert np.array_equal(array, want)
 
@@ -271,14 +332,15 @@ class TestDrawErrorsBlock:
             noise.draw_errors_block(self.SEED, 2, 64, self.T, spec)
 
     def test_the_last_allowed_redraw_can_clear_the_block(self, monkeypatch):
-        # With MAX_RESAMPLES = 2, seed 6's first 16 samples hold two that are
-        # physical only at attempt 2, so the draw returns after its loop.
+        # With MAX_RESAMPLES = 2, seed 29's first 16 samples hold two that are
+        # physical only at attempt 2 (and none later; 29 is the lowest such
+        # seed), so the draw returns after its loop.
         monkeypatch.setattr(noise, "MAX_RESAMPLES", 2)
         spec, size = self.SPECS["gaussian-rejections"], 16
-        amp, shift, rejected = noise.draw_errors_block(6, 0, size, self.T, spec)
+        amp, shift, rejected = noise.draw_errors_block(29, 0, size, self.T, spec)
         assert np.count_nonzero(rejected == 2) == 2
         for j in range(size):
-            ref_amp, ref_shift, ref_rejected = scalar_reference_draw(6, j, self.T, spec)
+            ref_amp, ref_shift, ref_rejected = scalar_reference_draw(29, j, self.T, spec)
             assert amp[j] == pytest.approx(ref_amp, rel=1e-12, abs=0.0)
             assert shift[j] == pytest.approx(ref_shift, rel=1e-12, abs=0.0)
             assert rejected[j] == ref_rejected
@@ -291,3 +353,63 @@ class TestDrawErrorsBlock:
         assert noise._MAX_RADIUS == r + 53.0 * math.log(2.0) / r
         assert f"{noise._MAX_RADIUS:.2f}" == "13.71"
 
+
+
+def unit_variates(seed, attempt, blocks, distribution):
+    """The unit-variance variates of blocks 0..blocks-1 under key (seed, attempt), a row each."""
+    spec = noise.ControlNoiseSpec(sigma_a=1.0, sigma_t_s=1.0, distribution=distribution)
+    rows = np.empty((blocks, 2 * BLOCK))
+    for k in range(blocks):
+        rows[k, 0::2], rows[k, 1::2] = noise._block_errors(seed, attempt, k, BLOCK, spec)
+    return rows
+
+
+class TestStreamIndependence:
+    """Variates that the scheme keeps independent are uncorrelated, at fixed seeds.
+
+    Over N pairs of independent variates, the sample correlation (of the
+    variates, and of their squares) has standard deviation 1/sqrt(N), and a
+    sample mean of f(x) has standard deviation sqrt(var f / N): each check
+    allows 5 of them.
+    """
+
+    BLOCKS = 100
+    # E x^p and var x^p of a unit-variance variate, p = 1..4
+    MOMENTS = {"gaussian": ((0.0, 1.0), (1.0, 2.0), (0.0, 15.0), (3.0, 96.0)),
+               "uniform": ((0.0, 1.0), (1.0, 4.0 / 5.0), (0.0, 27.0 / 7.0),
+                           (9.0 / 5.0, 144.0 / 25.0))}
+
+    @pytest.fixture(scope="class", params=[(0, "gaussian"), (2**64 - 5, "uniform"),
+                                           (2**64 - 5, "gaussian")],
+                    ids=lambda param: f"{param[1]}-seed-{param[0]}")
+    def streams(self, request):
+        seed, distribution = request.param
+        keys = {"key": (seed, 0), "seed ^ 1": (seed ^ 1, 0), "attempt 1": (seed, 1)}
+        return distribution, {name: unit_variates(*key, self.BLOCKS, distribution)
+                              for name, key in keys.items()}
+
+    @staticmethod
+    def assert_uncorrelated(x, y):
+        x, y = x.ravel(), y.ravel()
+        bound = 5.0 / math.sqrt(x.size)
+        for u, v in ((x, y), (x * x, y * y)):
+            assert abs(np.corrcoef(u, v)[0, 1]) < bound
+
+    def test_the_two_variates_of_a_sample(self, streams):
+        variates = streams[1]["key"]
+        self.assert_uncorrelated(variates[:, 0::2], variates[:, 1::2])
+
+    def test_consecutive_blocks(self, streams):
+        variates = streams[1]["key"]
+        self.assert_uncorrelated(variates[:-1], variates[1:])
+
+    @pytest.mark.parametrize("other", ["seed ^ 1", "attempt 1"])
+    def test_neighbouring_keys(self, streams, other):
+        self.assert_uncorrelated(streams[1]["key"], streams[1][other])
+
+    def test_moments(self, streams):
+        distribution, variates = streams[0], streams[1]["key"].ravel()
+        for power, (mean, var) in enumerate(self.MOMENTS[distribution], start=1):
+            assert abs(np.mean(variates**power) - mean) < 5.0 * math.sqrt(var / variates.size)
+        if distribution == "uniform":
+            assert np.max(np.abs(variates)) <= math.sqrt(3.0)

@@ -14,9 +14,9 @@ _EXPORTS = {  # submodule -> the public names it defines
     "gates": ("PulseSpec", "exchange_unitary", "gate_error_vs_phase", "phase_from_pulse",
               "profile_pulse", "pulse_for_target", "relative_error_to_phase_error",
               "relative_error_to_phase_error_first_order", "swap_power_target"),
-    "noise": ("ControlNoiseSpec", "RejectedSampleError", "sample_pulse"),
-    "dephasing": ("DephasingSpec", "QuantumChannel4", "apply_channel",
-                  "compose_channel_after_unitary", "dephasing_channel", "entanglement_fidelity"),
+    "noise": ("ControlNoiseSpec", "DephasingSpec", "RejectedSampleError", "sample_pulse"),
+    "dephasing": ("QuantumChannel4", "apply_channel", "compose_channel_after_unitary",
+                  "dephasing_channel", "entanglement_fidelity"),
     "budget": ("FeasibilityReport", "PlatformSpec", "TechnologySpec", "Threshold",
                "builtin_catalog", "builtin_platforms", "feasibility", "load_specs"),
     "montecarlo": ("McConfig", "McResult", "analytic_infidelity", "estimate_infidelity",

@@ -7,13 +7,14 @@ completed (feasible or not), 2 means bad input, 1 an internal failure.
 Each output is written from the record that holds its data: CSV rows from
 McResults, feasibility.json from the resolved inputs and the FeasibilityReport,
 and a manifest's parameters from the McConfig (plus workers, and a sweep's axis
-and values) or those same inputs.  With a fixed seed the primary output files
-are byte-identical across runs and worker counts; manifests are not.  Only
-gate, mc and sweep load numpy, when they run: the numpy-backed modules are
-imported inside their commands.  Likewise json, csv, platform, traceback,
-configparser (in budget.load_specs), budget, noise and dataclasses are imported
-only in the code that uses them: --version, --help and the feasibility, gate
-and catalog help load none of them, and a text catalog none of the first five.
+and values) or those same inputs; _jsonable writes every record as its fields.
+With a fixed seed the primary output files are byte-identical across runs and
+worker counts; manifests are not.  Only gate, mc and sweep load numpy, when they
+run: the numpy-backed modules are imported inside their commands.  Likewise
+json, csv, platform, traceback, configparser (in budget.load_specs), budget and
+noise (and through them dataclasses) are imported only in the code that uses
+them: --version, --help and the feasibility, gate and catalog help load none of
+them, and a text catalog none of the first five.
 """
 
 import argparse
@@ -45,6 +46,8 @@ def _fmt(x):
 
 
 def _jsonable(value):
+    if hasattr(value, "__dataclass_fields__"):  # a record: its fields
+        value = vars(value)
     if isinstance(value, float) and not math.isfinite(value):
         return repr(value)  # 'inf', '-inf', 'nan'
     if isinstance(value, dict):
@@ -235,11 +238,10 @@ def cmd_feasibility(args):
     json_path = os.path.join(args.out, "feasibility.json")
     inputs = {
         "platform": {"name": platform_name, **vars(platform)},
-        "technology": vars(tech),
+        "technology": tech,
         "epsilon": epsilon,
         "strict_bandwidth": args.strict_bandwidth,
     }
-    # vars, not asdict: no deep copies; _jsonable lists the report's tuples
     _write_file(json_path, _json_text({**inputs, **vars(report)}))
     _write_manifest(args.out, "feasibility", inputs, None, [txt_path, json_path], started)
     return 0
@@ -290,16 +292,11 @@ def cmd_gate(args):
 
 
 def _mc_config(args):
-    from .dephasing import DephasingSpec
     from .gates import pulse_for_target
     from .montecarlo import McConfig
-    from .noise import ControlNoiseSpec
+    from .noise import ControlNoiseSpec, DephasingSpec
 
-    noise_spec = ControlNoiseSpec(
-        sigma_a=args.sigma_a,
-        sigma_t_s=args.sigma_t,
-        distribution=args.distribution,
-    )
+    noise_spec = ControlNoiseSpec(args.sigma_a, args.sigma_t, args.distribution)
     dephasing = DephasingSpec(args.t2)
     return McConfig(
         n_samples=args.n,
@@ -320,7 +317,6 @@ def _write_mc_outputs(args, cfg, rows, started, **parameters):
     """<command>.csv from (axis_value, McResult, analytic) rows, and its manifest."""
     import csv
     import platform
-    from dataclasses import asdict
 
     import numpy as np
 
@@ -336,7 +332,7 @@ def _write_mc_outputs(args, cfg, rows, started, **parameters):
                          _fmt(result.stderr), _fmt(analytic), cfg.n_samples, cfg.seed])
     _write_file(csv_path, text.getvalue())
     _write_manifest(args.out, args.command,
-                    {**asdict(cfg), "workers": args.workers, **parameters}, cfg.seed,
+                    {**vars(cfg), "workers": args.workers, **parameters}, cfg.seed,
                     [csv_path], started, rng_scheme=RNG_SCHEME,
                     python_version=platform.python_version(), numpy_version=np.__version__)
     return csv_path
@@ -385,7 +381,7 @@ def cmd_catalog(args):
 
     entries = budget.merge_catalog(_user_technologies(args.file))
     if args.format == "json":
-        print(_json_text([vars(t) for t in entries]), end="")
+        print(_json_text(entries), end="")
         return 0
     header = (
         f"{'name':<28} {'sigma_a (dimensionless)':>24} {'sigma_t (s)':>14} "

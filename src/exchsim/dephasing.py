@@ -3,7 +3,8 @@
 Phase coherence decays with the transverse relaxation time T2: single-qubit
 off-diagonal elements shrink by exp(-T/T2) after a wait of T.  The channel
 is the standard phase-flip Kraus pair per qubit, tensored over both qubits.
-Only pure dephasing is modeled (no amplitude damping).
+Only pure dephasing is modeled (no amplitude damping).  The T2 record,
+DephasingSpec, is defined in noise (which loads no numpy) and re-exported here.
 """
 
 import math
@@ -12,25 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import budget, core
-
-
-@dataclass(frozen=True)
-class DephasingSpec:
-    """Per-qubit transverse relaxation times in seconds.
-
-    math.inf is the explicit no-decoherence sentinel.  Pass a single value
-    to use it for both qubits.
-    """
-
-    t2_q1_s: float
-    t2_q2_s: float | None = None
-
-    def __post_init__(self):
-        if self.t2_q2_s is None:
-            object.__setattr__(self, "t2_q2_s", self.t2_q1_s)
-        for value in (self.t2_q1_s, self.t2_q2_s):
-            if math.isnan(value) or value <= 0.0:
-                raise ValueError(f"T2 must be > 0 (math.inf allowed), got {value!r}")
+from .noise import DephasingSpec  # re-exported: the T2 record lives with the noise records
 
 
 @dataclass(frozen=True)

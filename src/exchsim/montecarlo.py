@@ -41,9 +41,8 @@ from itertools import chain
 import numpy as np
 
 from .budget import SWEEP_AXES, normalize_axis, small_noise_infidelity  # SWEEP_AXES re-exported
-from .dephasing import DephasingSpec
 from .gates import PulseSpec, _checked_alpha, phase_from_pulse, pulse_for_target
-from .noise import _MAX_RADIUS, BLOCK, ControlNoiseSpec, draw_errors_block
+from .noise import _MAX_RADIUS, BLOCK, ControlNoiseSpec, DephasingSpec, draw_errors_block
 
 
 @dataclass(frozen=True)
@@ -197,7 +196,9 @@ def _estimate(cfgs, n_workers):
             dephased.add(key)
     n = cfgs[0].n_samples
     blocks = range(-(-n // BLOCK))
-    workers = min(n_workers, len(blocks), os.cpu_count() or 1)
+    workers = min(n_workers, len(blocks))
+    if workers > 1:  # one worker needs no CPU count
+        workers = min(workers, os.cpu_count() or 1)
 
     def run_block(block):
         records = [None] * len(cfgs)

@@ -1,6 +1,7 @@
 """Classical control-noise models for exchange pulses.
 
-Covers per-pulse amplitude and timing noise.
+Covers per-pulse amplitude and timing noise, and the qubits' T2 record
+(DephasingSpec) that the Monte Carlo reads with them.
 
 The noise model is white-over-band and quasi-static per pulse: each gate
 draws one relative-amplitude scalar and one timing scalar.
@@ -65,6 +66,25 @@ class ControlNoiseSpec:
             raise ValueError(f"sigma_t_s must be >= 0 and finite, got {self.sigma_t_s!r}")
         if self.distribution not in DISTRIBUTIONS:
             raise ValueError(f"distribution must be one of {DISTRIBUTIONS}, got {self.distribution!r}")
+
+
+@dataclass(frozen=True)
+class DephasingSpec:
+    """Per-qubit transverse relaxation times in seconds.
+
+    math.inf is the explicit no-decoherence sentinel.  Pass a single value
+    to use it for both qubits.
+    """
+
+    t2_q1_s: float
+    t2_q2_s: float | None = None
+
+    def __post_init__(self):
+        if self.t2_q2_s is None:
+            object.__setattr__(self, "t2_q2_s", self.t2_q1_s)
+        for value in (self.t2_q1_s, self.t2_q2_s):
+            if math.isnan(value) or value <= 0.0:
+                raise ValueError(f"T2 must be > 0 (math.inf allowed), got {value!r}")
 
 
 def _is_physical(duration_s, amp, shift):

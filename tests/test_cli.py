@@ -492,6 +492,27 @@ class TestManifestParameters:
         assert set(mc["parameters"]["noise"]) == {"sigma_a", "sigma_t_s", "distribution"}
         assert sweep["parameters"] == {**expected, "axis": "sigma_a", "values": [1e-5, 1e-4]}
 
+    @pytest.mark.parametrize("axis, values", [("sigma_a", "1e-5,1e-4"),
+                                              ("sigma_t", "1e-13,1e-12"),
+                                              ("t2", "5e-4,inf"),
+                                              ("target_alpha", "0.25,0.75")])
+    def test_parameters_are_asdict_of_the_config(self, tmp_path, capsys, axis, values):
+        # dataclasses.asdict is the oracle of the records' JSON form
+        argv = ["--alpha", "0.75", "--duration", "1e-8", "--sigma-a", "2e-3", "--sigma-t",
+                "1e-12", "--t2", "1e-3", "--sensitivity", "0.5", "--n", "20", "--seed", "7",
+                "--workers", "3"]
+        cfg = cli._mc_config(cli._build_parser("mc").parse_args(["mc", *argv]))
+        expected = json.loads(cli._json_text({**asdict(cfg), "workers": 3}))
+        assert cli.main(["mc", *argv, "--out", str(tmp_path / "mc")]) == 0
+        assert cli.main(["sweep", *argv, "--axis", axis, "--values", values,
+                         "--out", str(tmp_path / "sweep")]) == 0
+        mc = json.loads(read_bytes(tmp_path / "mc" / "mc_manifest.json"))
+        sweep = json.loads(read_bytes(tmp_path / "sweep" / "sweep_manifest.json"))
+        assert mc["parameters"] == expected
+        assert sweep["parameters"] == {
+            **expected, "axis": axis,
+            "values": json.loads(cli._json_text([float(v) for v in values.split(",")]))}
+
     def test_mc_without_t2_is_mc_with_infinite_t2(self, tmp_path, capsys):
         argv = ["mc", "--sigma-a", "1e-3", "--sigma-t", "1e-12", "--n", "50", "--seed", "5"]
         assert cli.main([*argv, "--out", str(tmp_path / "omitted")]) == 0
@@ -795,6 +816,15 @@ class TestCatalogCommand:
         for entry in entries:
             assert set(entry) == {"name", "sigma_a", "sigma_t_s", "bw_low_hz",
                                   "bw_high_hz", "notes"}
+
+    def test_json_is_asdict_of_each_merged_entry(self, tmp_path, capsys, monkeypatch):
+        extra = tmp_path / "extra.spec"
+        extra.write_text(ELECTRICAL_INI_EXTRA)
+        monkeypatch.delenv(cli.CATALOG_ENV_VAR, raising=False)
+        assert cli.main(["catalog", "--format", "json", "--file", str(extra)]) == 0
+        entries = budget.merge_catalog(cli._user_technologies(str(extra)))
+        assert "house-generator" in {entry.name for entry in entries}
+        assert capsys.readouterr().out == cli._json_text([asdict(entry) for entry in entries])
 
     def test_json_writes_inf_band_edge_as_string(self, tmp_path, capsys):
         extra = tmp_path / "extra.spec"

@@ -308,6 +308,30 @@ class TestDeterminism:
         assert estimate_infidelity(cfg, n_workers=64) == estimate_infidelity(cfg)
         assert started == pools
 
+    def test_one_worker_reads_no_cpu_count(self, monkeypatch):
+        def cpu_count():
+            raise AssertionError("os.cpu_count read on the one-worker path")
+
+        cfg = make_config(n=2 * BLOCK + 1, seed=19, sigma_a=1e-3)  # three blocks
+        expected = estimate_infidelity(cfg)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", cpu_count)
+        assert estimate_infidelity(cfg, n_workers=1) == expected
+
+    @pytest.mark.parametrize("cpus, pools", [(1, []), (8, [2])])
+    def test_two_workers_are_capped_by_the_cpu_count(self, monkeypatch, cpus, pools):
+        started = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+        cfg = make_config(n=2 * BLOCK + 1, seed=19, sigma_a=1e-3)  # three blocks
+        assert estimate_infidelity(cfg, n_workers=2) == estimate_infidelity(cfg)
+        assert started == pools
+
     def test_readme_states_the_rng_scheme(self):
         # The determinism contract in the README must name the scheme the code draws with.
         readme = Path(__file__).resolve().parents[1] / "README.md"

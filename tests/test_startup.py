@@ -7,7 +7,8 @@ The CLI imports json, csv, platform, traceback and configparser only where it
 uses them, and montecarlo imports concurrent.futures only for a pool of more
 than one worker.  Only a fresh interpreter shows what an import loads, so one
 subprocess runs a list of commands and reports, after each, whether numpy and
-which of those six modules were loaded.
+which of those six modules were loaded, and whether the dense Kraus module
+dephasing was, which no command loads: mc and sweep read DephasingSpec from noise.
 The CLI also imports budget, noise and dataclasses (which both import) only in
 the commands and flags that use them: --version, --help and the feasibility,
 gate and catalog help load none of the three, and a gate run neither budget nor
@@ -39,9 +40,9 @@ EXPORTS = {
     "gates": {"PulseSpec", "exchange_unitary", "gate_error_vs_phase", "phase_from_pulse",
               "profile_pulse", "pulse_for_target", "relative_error_to_phase_error",
               "relative_error_to_phase_error_first_order", "swap_power_target"},
-    "noise": {"ControlNoiseSpec", "RejectedSampleError", "sample_pulse"},
-    "dephasing": {"DephasingSpec", "QuantumChannel4", "apply_channel",
-                  "compose_channel_after_unitary", "dephasing_channel", "entanglement_fidelity"},
+    "noise": {"ControlNoiseSpec", "DephasingSpec", "RejectedSampleError", "sample_pulse"},
+    "dephasing": {"QuantumChannel4", "apply_channel", "compose_channel_after_unitary",
+                  "dephasing_channel", "entanglement_fidelity"},
     "budget": {"FeasibilityReport", "PlatformSpec", "TechnologySpec", "Threshold",
                "builtin_catalog", "builtin_platforms", "feasibility", "load_specs"},
     "montecarlo": {"McConfig", "McResult", "analytic_infidelity", "estimate_infidelity",
@@ -78,15 +79,16 @@ SMALL_NOISE_ARGS = (0.5 * math.pi, 0.5, 1e-4, 240e-15, 5e-9, 5e-4, 5e-4)
 # SMALL_NOISE_ARGS and recording its value), the CLI, and after each cli.main
 # call, record whether numpy is loaded and which WATCHED modules were added
 # since the runner's first statement (so that what site loaded does not
-# count); a call's record also holds its exit code, stdout and stderr.  json is
-# imported only to print.
+# count); a call's record also holds its exit code, stdout and stderr.  After
+# each call it also records, in a list of its own, whether the dense Kraus
+# module exchsim.dephasing is loaded.  json is imported only to print.
 FRESH_RUNNER = f"""
 import sys
 site_modules = set(sys.modules)
 import ast, contextlib, io
 def added():
     return [name for name in {WATCHED!r} if name in sys.modules and name not in site_modules]
-imports, report = [], []
+imports, report, dense = [], [], []
 import exchsim
 imports.append("numpy" in sys.modules)
 imports.append(exchsim.noise.__name__)  # a submodule not imported yet, as an attribute
@@ -104,8 +106,9 @@ for argv in ast.literal_eval(sys.argv[1]):
         except SystemExit as exc:
             code = exc.code
     report.append([code, out.getvalue(), err.getvalue(), "numpy" in sys.modules, added()])
+    dense.append("exchsim.dephasing" in sys.modules)
 import json
-print(json.dumps([imports, report]))
+print(json.dumps([imports, report, dense]))
 """
 
 # The modules that version and help output do not need: budget and noise, and
@@ -182,13 +185,21 @@ def run_fresh(runner, *args):
 
 
 @pytest.fixture(scope="module")
-def fresh(tmp_path_factory):
-    """The steps of command_steps, and the fresh interpreter's imports and report."""
+def fresh_run(tmp_path_factory):
+    """The steps of command_steps, and the fresh interpreter's imports, report and
+    dense-module record."""
     tmp_path = tmp_path_factory.mktemp("startup")
     steps = command_steps(tmp_path, "fresh")
-    imports, report = json.loads(run_fresh(FRESH_RUNNER, repr([argv for argv, *_ in steps])))
-    assert len(report) == len(steps)
-    return tmp_path, steps, imports, report
+    imports, report, dense = json.loads(run_fresh(FRESH_RUNNER,
+                                                  repr([argv for argv, *_ in steps])))
+    assert len(report) == len(dense) == len(steps)
+    return tmp_path, steps, imports, report, dense
+
+
+@pytest.fixture(scope="module")
+def fresh(fresh_run):
+    """The steps of command_steps, and the fresh interpreter's imports and report."""
+    return fresh_run[:4]
 
 
 class TestFreshProcess:
@@ -213,6 +224,12 @@ class TestFreshProcess:
             loaded = sorted(loaded + first_loads)
             assert record[-1] == loaded, argv
         assert loaded == sorted(WATCHED)
+
+    def test_no_command_loads_the_dense_kraus_module(self, fresh_run):
+        # mc and sweep read the T2 record from noise; the Kraus channels stay unloaded
+        _, steps, _, _, dense = fresh_run
+        assert {argv[0] for argv, *_ in steps} >= {"mc", "sweep"}
+        assert dense == [False] * len(steps)
 
     def test_bad_epsilon_exits_2_with_its_message(self, fresh):
         _, steps, _, report = fresh
@@ -271,6 +288,11 @@ class TestLazyExports:
         exec("from exchsim import *", namespace)
         del namespace["__builtins__"]
         assert namespace == {name: getattr(exchsim, name) for name in HOME}
+
+    def test_dephasing_spec_is_one_class_on_every_import_path(self):
+        from exchsim import dephasing
+
+        assert exchsim.DephasingSpec is noise.DephasingSpec is dephasing.DephasingSpec
 
     def test_unknown_attribute_raises_naming_it(self):
         with pytest.raises(AttributeError, match="no_such_export"):

@@ -7,18 +7,18 @@ completed (feasible or not), 2 means bad input, 1 an internal failure.
 Each output is written from the record that holds its data: CSV rows from
 McResults, feasibility.json from the resolved inputs and the FeasibilityReport,
 and a manifest's parameters from the McConfig (plus workers, and a sweep's axis
-and values) or those same inputs; _jsonable writes every record as its fields.
+and values) or those same inputs; _json_text writes every record as its fields.
 With a fixed seed the primary output files are byte-identical across runs and
 worker counts; manifests are not.  Only gate, mc and sweep load numpy, when they
-run: the numpy-backed modules are imported inside their commands.  Likewise
-json, csv, platform, traceback, configparser (in budget.load_specs), budget and
+run: the numpy-backed modules are imported inside their commands.  No command
+imports csv, and only JSON output loads json (its encoder's string quoting).
+Likewise platform, traceback, configparser (in budget.load_specs), budget and
 noise (and through them dataclasses) are imported only in the code that uses
 them: --version, --help and the feasibility, gate and catalog help load none of
-them, and a text catalog none of the first five.
+them, and a text catalog none of the first three.
 """
 
 import argparse
-import io
 import math
 import os
 import re
@@ -45,34 +45,49 @@ def _fmt(x):
     return f"{float(x):.17e}"
 
 
-def _jsonable(value):
-    if hasattr(value, "__dataclass_fields__"):  # a record: its fields
-        value = vars(value)
-    if isinstance(value, float) and not math.isfinite(value):
-        return repr(value)  # 'inf', '-inf', 'nan'
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 def _write_file(path, text):
-    """Write text to path as UTF-8, in place: the file is overwritten from the
-    start and then cut to the new length, never truncated to zero first.  On
-    ext4 (auto_da_alloc), a rewrite after a truncation to zero is flushed to
-    disk on close, which costs more than computing most outputs."""
-    # open(path, "wb") without O_TRUNC, with open()'s mode 0o666 (less the umask)
-    with open(path, "wb", opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666)) as fh:
-        fh.write(text.encode())
-        fh.truncate()
+    """Write text to path as UTF-8, in place: os.write, which may take fewer bytes than
+    it is given, is called until every byte is written from the start, and the file is
+    then cut to the new length, never truncated to zero first.  On ext4 (auto_da_alloc),
+    a rewrite after a truncation to zero is flushed to disk on close, which costs more
+    than computing most outputs.  A new file gets open()'s mode, 0o666 less the umask."""
+    data = text.encode()
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)  # no O_TRUNC
+    try:
+        written = 0
+        while written < len(data):
+            written += os.write(fd, data[written:])
+        os.ftruncate(fd, written)
+    finally:
+        os.close(fd)
 
 
 def _json_text(value):
-    """value as indented JSON with sorted keys and a final newline; inf and nan as strings."""
-    import json
+    """value as json.dumps(value, indent=2, sort_keys=True) + "\n" writes it, byte for
+    byte, with a record as its fields, a tuple as a list, and inf, -inf and nan as the
+    strings 'inf', '-inf' and 'nan'.  Keys must be str; any other type raises TypeError."""
+    from json.encoder import encode_basestring_ascii as quote  # json's string quoting only
 
-    return json.dumps(_jsonable(value), indent=2, sort_keys=True) + "\n"
+    def text(value, newline):
+        if isinstance(value, str):
+            return quote(value)
+        if isinstance(value, float):
+            return float.__repr__(value) if math.isfinite(value) else f'"{float.__repr__(value)}"'
+        if value is None or isinstance(value, int):  # True and False before other ints
+            return ("null" if value is None else "true" if value is True
+                    else "false" if value is False else int.__repr__(value))
+        inner = newline + "  "
+        if isinstance(value, dict):
+            items = [f"{quote(key)}: {text(value[key], inner)}" for key in sorted(value)]
+            return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
+        if isinstance(value, (list, tuple)):
+            items = [text(item, inner) for item in value]
+            return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
+        # a record as its fields; quote raises TypeError for any other type
+        return (text(vars(value), newline) if hasattr(value, "__dataclass_fields__")
+                else quote(value))
+
+    return text(value, "\n") + "\n"
 
 
 def _write_manifest(out_dir, command, parameters, seed, outputs, started, **extra):
@@ -103,20 +118,12 @@ def _load_spec_file(path):
 
 def _user_technologies(file_arg):
     """Technologies from the env-var catalog plus an optional --file."""
-    entries = []
-    env_path = os.environ.get(CATALOG_ENV_VAR)
-    if env_path:
-        entries.extend(_load_spec_file(env_path).technologies)
-    if file_arg:
-        entries.extend(_load_spec_file(file_arg).technologies)
-    return entries
+    paths = (os.environ.get(CATALOG_ENV_VAR), file_arg)
+    return [tech for path in paths if path for tech in _load_spec_file(path).technologies]
 
 
 def _matrix_lines(u):
-    lines = []
-    for row in u:
-        lines.append("  " + "  ".join(f"{z.real:+.6f}{z.imag:+.6f}j" for z in row))
-    return lines
+    return ["  " + "  ".join(f"{z.real:+.6f}{z.imag:+.6f}j" for z in row) for row in u]
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +171,7 @@ def _resolve_technology(args, loaded):
                          "(--sigma-a/--sigma-t), not of --tech or a spec-file technology")
     file_techs = loaded.technologies
     if args.tech is not None:
-        catalog = budget.merge_catalog(list(_user_technologies(None)) + list(file_techs))
+        catalog = budget.merge_catalog(_user_technologies(None) + list(file_techs))
         for tech in catalog:
             if tech.name == args.tech:
                 return tech
@@ -232,7 +239,8 @@ def cmd_feasibility(args):
     text = _feasibility_text(platform, tech, epsilon, report)
     print(text, end="")
 
-    os.makedirs(args.out, exist_ok=True)
+    if not os.path.isdir(args.out):
+        os.makedirs(args.out, exist_ok=True)
     txt_path = os.path.join(args.out, "feasibility.txt")
     _write_file(txt_path, text)
     json_path = os.path.join(args.out, "feasibility.json")
@@ -298,15 +306,9 @@ def _mc_config(args):
 
     noise_spec = ControlNoiseSpec(args.sigma_a, args.sigma_t, args.distribution)
     dephasing = DephasingSpec(args.t2)
-    return McConfig(
-        n_samples=args.n,
-        seed=args.seed,
-        target_alpha=args.alpha,
-        nominal=pulse_for_target(args.alpha, args.duration),
-        noise=noise_spec,
-        dephasing=dephasing,
-        sensitivity=args.sensitivity,
-    )
+    return McConfig(n_samples=args.n, seed=args.seed, target_alpha=args.alpha,
+                    nominal=pulse_for_target(args.alpha, args.duration), noise=noise_spec,
+                    dephasing=dephasing, sensitivity=args.sensitivity)
 
 
 CSV_HEADER = ["axis_value", "mean_infidelity", "stderr", "analytic_prediction",
@@ -315,22 +317,20 @@ CSV_HEADER = ["axis_value", "mean_infidelity", "stderr", "analytic_prediction",
 
 def _write_mc_outputs(args, cfg, rows, started, **parameters):
     """<command>.csv from (axis_value, McResult, analytic) rows, and its manifest."""
-    import csv
     import platform
 
     import numpy as np
 
     from .noise import RNG_SCHEME
 
-    os.makedirs(args.out, exist_ok=True)
+    if not os.path.isdir(args.out):
+        os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, f"{args.command}.csv")
-    text = io.StringIO()
-    writer = csv.writer(text, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for value, result, analytic in rows:
-        writer.writerow(["" if value is None else _fmt(value), _fmt(result.mean_infidelity),
-                         _fmt(result.stderr), _fmt(analytic), cfg.n_samples, cfg.seed])
-    _write_file(csv_path, text.getvalue())
+    # no field holds a comma, quote or newline, so none needs csv's quoting
+    _write_file(csv_path, ",".join(CSV_HEADER) + "\n" + "".join(
+        f"{'' if value is None else _fmt(value)},{_fmt(result.mean_infidelity)},"
+        f"{_fmt(result.stderr)},{_fmt(analytic)},{cfg.n_samples},{cfg.seed}\n"
+        for value, result, analytic in rows))
     _write_manifest(args.out, args.command,
                     {**vars(cfg), "workers": args.workers, **parameters}, cfg.seed,
                     [csv_path], started, rng_scheme=RNG_SCHEME,

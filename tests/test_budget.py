@@ -2,7 +2,7 @@
 
 import math
 import re
-from dataclasses import asdict, replace
+from dataclasses import FrozenInstanceError, asdict, replace
 
 import numpy as np
 import pytest
@@ -289,6 +289,31 @@ class TestBuiltinCatalog:
     def test_merge_rejects_collisions(self):
         with pytest.raises(ValueError, match="collision"):
             budget.merge_catalog([ELECTRICAL])
+
+    def test_catalog_is_one_tuple_of_frozen_records(self):
+        catalog = budget.builtin_catalog()
+        assert type(catalog) is tuple
+        assert budget.builtin_catalog() is catalog
+        for tech in catalog:
+            with pytest.raises(FrozenInstanceError):
+                tech.sigma_a = 0.0
+
+    def test_merge_returns_a_new_tuple_and_leaves_the_builtins_unchanged(self):
+        builtin = budget.builtin_catalog()
+        before = list(builtin)
+        extra = replace(LASER, name="house-laser")
+        for extras, expected in (([], before), ([extra], before + [extra])):
+            merged = budget.merge_catalog(extras)
+            assert type(merged) is tuple and merged is not builtin
+            assert list(merged) == expected
+            assert budget.builtin_catalog() is builtin
+
+    def test_user_technology_named_as_a_builtin_collides(self):
+        clash = budget.TechnologySpec(name="modelocked-laser-10GHz", sigma_a=1e-3,
+                                      sigma_t_s=1e-12, bw_low_hz=0.0, bw_high_hz=1e9)
+        with pytest.raises(ValueError, match="collision: 'modelocked-laser-10GHz'"):
+            budget.merge_catalog([clash])
+        assert budget.builtin_catalog() == (ELECTRICAL, LASER)
 
 
 BAD_BANDS = [

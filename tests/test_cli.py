@@ -12,9 +12,11 @@ import platform
 import random
 import re
 import shutil
+import stat
+import struct
 import subprocess
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +41,25 @@ bw_high_hz = 2e9
 def read_bytes(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def jsonable(value):
+    """value as json.dumps takes it, built without cli: a record as dataclasses.asdict
+    gives it, a tuple as a list, a non-finite float as its repr ('inf', '-inf', 'nan')."""
+    if is_dataclass(value) and not isinstance(value, type):
+        value = asdict(value)
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(value)
+    if isinstance(value, dict):
+        return {key: jsonable(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonable(item) for item in value]
+    return value
+
+
+def json_oracle(value):
+    """What cli._json_text must write for value: json.dumps of its JSON form."""
+    return json.dumps(jsonable(value), indent=2, sort_keys=True) + "\n"
 
 
 class TestFeasibilityCommand:
@@ -482,7 +503,7 @@ class TestManifestParameters:
         argv = ["--alpha", "0.25", "--duration", "2e-8", "--sigma-a", "1e-3",
                 "--sigma-t", "1e-12", "--distribution", "uniform", "--sensitivity", "2",
                 "--n", "50", "--seed", "3", "--workers", "2"] + (["--t2", t2] if t2 else [])
-        expected = json.loads(json.dumps(cli._jsonable({**asdict(cfg), "workers": 2})))
+        expected = json.loads(json_oracle({**asdict(cfg), "workers": 2}))
         assert cli.main(["mc", *argv, "--out", str(tmp_path / "mc")]) == 0
         assert cli.main(["sweep", *argv, "--axis", "sigma_a",
                          "--values", "1e-5,1e-4", "--out", str(tmp_path / "sweep")]) == 0
@@ -536,6 +557,82 @@ class TestManifestParameters:
         assert params == {key: report[key] for key in params}
         assert set(report) - set(params) == {f.name for f in fields(budget.FeasibilityReport)}
         assert params["strict_bandwidth"] is bool(strict)
+
+
+# Leaves that stress json's output: quotes, backslashes, control, non-ASCII and lone
+# surrogate characters; signed zeros, subnormals, the largest doubles and non-finite
+# floats; bools, None and ints to 2**64 - 1.
+JSON_STRINGS = ["", "a", 'say "hi"', "back\\slash\\", "tab\tnew\nline\rcr\f\b",
+                "\x00\x01\x1f\x7f", "µs ±1 °C", "日本語", "\u2028\u2029", "smile \U0001F600",
+                "\ud800", "/", "inf", "null"]
+JSON_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-320, 1e308,
+               1.7976931348623157e308, -1e308, math.inf, -math.inf, math.nan, 0.1, 1 / 3,
+               1e-5, 1e16, 123456789.0, 2.0**53 + 2]
+JSON_INTS = [0, 1, -1, 7, 2**31, 2**53 + 1, 2**63 - 1, -2**63, 2**64 - 1, True, False, None]
+
+
+def json_records():
+    """Real records: the catalog's TechnologySpecs, FeasibilityReports (feasible and
+    not, with and without a window) and McConfigs (with and without dephasing)."""
+    tech = budget.builtin_catalog()
+    si = budget.builtin_platforms()["si-spin"]
+    reports = [budget.feasibility(si, t, eps, strict_bandwidth=strict)
+               for t in tech for eps in (1e-7, 1e-5, 1e-2) for strict in (False, True)]
+    configs = [McConfig(n_samples=100, seed=2**64 - 1, target_alpha=0.5,
+                        nominal=pulse_for_target(0.5, 5e-9),
+                        noise=ControlNoiseSpec(1e-3, 1e-12, "uniform"), dephasing=dephasing)
+               for dephasing in (None, DephasingSpec(5e-4), DephasingSpec(math.inf))]
+    return [*tech, *reports, *configs]
+
+
+def random_json_value(rng, records, depth=0):
+    """A seeded nested value of dicts, lists and tuples (empty ones included) over
+    the JSON_* leaves, random floats and strings, and the records."""
+    kind = rng.randrange(8 if depth < 4 else 5)
+    if kind == 0:
+        return rng.choice(JSON_STRINGS + ["".join(map(chr, rng.choices(range(0x250), k=5)))])
+    if kind == 1:
+        return rng.choice(JSON_FLOATS + [rng.uniform(-1, 1) * 10.0 ** rng.randint(-320, 308),
+                                         struct.unpack("<d", rng.randbytes(8))[0]])
+    if kind == 2:
+        return rng.choice(JSON_INTS + [rng.randint(-2**64, 2**64 - 1)])
+    if kind in (3, 4):
+        return rng.choice(records)
+    items = [random_json_value(rng, records, depth + 1) for _ in range(rng.randrange(4))]
+    if kind == 5:
+        return tuple(items)
+    if kind == 6:
+        return items
+    return {rng.choice(JSON_STRINGS) + str(rng.randrange(3)): item for item in items}
+
+
+class TestJsonText:
+    """cli._json_text writes what json.dumps(indent=2, sort_keys=True) writes."""
+
+    def test_seeded_nested_values_match_json_dumps(self):
+        rng = random.Random(20261020)
+        records = json_records()
+        values = [random_json_value(rng, records) for _ in range(2500)]
+        for leaf in JSON_STRINGS + JSON_FLOATS + JSON_INTS + records + [{}, [], ()]:
+            values += [leaf, [leaf], (leaf,), {"k": leaf}]
+        values += [{key: 1.0 for key in JSON_STRINGS}, {"a": {}, "b": [], "c": ()}]
+        for index, value in enumerate(values):
+            assert cli._json_text(value) == json_oracle(value), (index, value)
+        assert {type(record) for record in records} == {
+            budget.TechnologySpec, budget.FeasibilityReport, McConfig}
+
+    def test_non_finite_floats_are_strings(self):
+        assert cli._json_text([math.inf, -math.inf, math.nan]) == (
+            '[\n  "inf",\n  "-inf",\n  "nan"\n]\n')
+
+    @pytest.mark.parametrize("value", [{1, 2}, 1j, np.int64(3), {(1, 2): 0.0},
+                                       {"ok": [{"nested": {1.5}}]}],
+                             ids=["set", "complex", "np.int64", "tuple-key", "nested-set"])
+    def test_what_json_dumps_rejects_raises_type_error(self, value):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            cli._json_text(value)
 
 
 class TestOutputRewrite:
@@ -599,6 +696,45 @@ class TestOutputRewrite:
         written = {str(out / name) for name in primary + [f"{command}_manifest.json"]}
         assert written <= set(opened)  # every output goes through os.open
         assert not [path for path in written if opened[path] & os.O_TRUNC]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_a_new_output_gets_mode_0o666_less_the_umask(self, tmp_path, capsys, command):
+        argv, primary = self.COMMANDS[command]
+        umask = os.umask(0o027)
+        try:
+            assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 0
+        finally:
+            os.umask(umask)
+        for name in primary + [f"{command}_manifest.json"]:
+            assert stat.S_IMODE(os.stat(tmp_path / "out" / name).st_mode) == 0o666 & ~0o027
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_short_writes_give_a_fresh_runs_outputs(self, tmp_path, capsys, monkeypatch,
+                                                    command):
+        argv, primary = self.COMMANDS[command]
+        manifest = f"{command}_manifest.json"
+        assert cli.main(argv + ["--out", str(tmp_path / "fresh")]) == 0
+        self.fill_with_junk(tmp_path / "short", primary + [manifest], 4000)
+        calls = []
+        os_write = os.write
+
+        def short_write(fd, data):  # at most 7 bytes per call, as a slow pipe or disk may
+            calls.append(len(data))
+            return os_write(fd, data[:7])
+
+        monkeypatch.setattr(os, "write", short_write)
+        assert cli.main(argv + ["--out", str(tmp_path / "short")]) == 0
+        monkeypatch.undo()
+        assert len(calls) > sum(len(read_bytes(tmp_path / "fresh" / name)) for name in primary) / 7
+        for name in primary:
+            assert read_bytes(tmp_path / "short" / name) == read_bytes(tmp_path / "fresh" / name)
+        fresh, short = (json.loads(read_bytes(tmp_path / out / manifest))
+                        for out in ("fresh", "short"))
+        for record, out in ((fresh, "fresh"), (short, "short")):
+            del record["duration_seconds"]
+            record["outputs"] = [os.path.relpath(path, tmp_path / out)
+                                 for path in record["outputs"]]
+        assert short == fresh
 
     @pytest.mark.parametrize("command, name", [
         ("mc", "mc.csv"), ("sweep", "sweep.csv"), ("feasibility", "feasibility.txt"),

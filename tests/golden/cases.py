@@ -110,6 +110,10 @@ CASES = {
     "gate-phase-error": ["gate", "--alpha", "0.5", "--phase-error", "1e-3"],
     "gate-dj-dt": ["gate", "--alpha", "0.25", "--dj", "1e-4", "--dt=-2e-5"],
     "gate-dj-dt-separated": ["gate", "--alpha", "0.25", "--dj", "1e-4", "--dt", "-2e-5"],
+    # the identity, SWAP, its square, the smallest and the widest targets, each phase's
+    # signed zeros included; negative alphas are written apart from the flag
+    **{f"gate-alpha-{alpha}": ["gate", "--alpha", alpha, "--phase-error", "0"]
+       for alpha in ("0", "1", "2", "5e-324", "-0.5", "1e150", "-1e150")},
     "bad-feasibility-inverted-band": ["feasibility", "--sigma-a", "1e-5", "--sigma-t", "1e-14",
                                       "--bw-low", "2e9", "--bw-high", "1e9", "--out", "out"],
     "bad-gate-two-errors": ["gate", "--alpha", "0.5", "--phase-error", "1e-3", "--dj", "1e-4"],

@@ -9,13 +9,13 @@ McResults, feasibility.json from the resolved inputs and the FeasibilityReport,
 and a manifest's parameters from the McConfig (plus workers, and a sweep's axis
 and values) or those same inputs; _json_text writes every record as its fields.
 With a fixed seed the primary output files are byte-identical across runs and
-worker counts; manifests are not.  Only gate, mc and sweep load numpy, when they
-run: the numpy-backed modules are imported inside their commands.  No command
-imports csv, and only JSON output loads json (its encoder's string quoting).
-Likewise platform, traceback, configparser (in budget.load_specs), budget and
-noise (and through them dataclasses) are imported only in the code that uses
-them: --version, --help and the feasibility, gate and catalog help load none of
-them, and a text catalog none of the first three.
+worker counts; manifests are not.  Only mc and sweep load numpy, when they run,
+and no command runs the dense core or dephasing code.  No command imports csv,
+and only JSON output loads json (its encoder's string quoting).  Likewise
+platform, traceback, configparser (in budget.load_specs), budget and noise (and
+through them dataclasses) are imported only in the code that uses them:
+--version, --help and the feasibility, gate and catalog help load none of them,
+and a text catalog none of the first three.
 """
 
 import argparse
@@ -260,12 +260,11 @@ def cmd_feasibility(args):
 
 
 def cmd_gate(args):
-    from .gates import (gate_error_vs_phase, relative_error_to_phase_error,
-                        relative_error_to_phase_error_first_order, swap_power_target)
+    from .gates import (_swap_power_rows, gate_error_vs_phase, relative_error_to_phase_error,
+                        relative_error_to_phase_error_first_order)
 
     if args.phase_error is not None and (args.dj is not None or args.dt is not None):
         raise ValueError("give either --phase-error or --dj/--dt, not both")
-    target = swap_power_target(args.alpha)
     theta_target = math.pi * args.alpha
     lines = [
         "gate report",
@@ -273,7 +272,7 @@ def cmd_gate(args):
         f"alpha (dimensionless):          {_fmt(args.alpha)}",
         f"target phase (rad):             {_fmt(theta_target)}",
         "target unitary (basis |00>, |01>, |10>, |11>):",
-        *_matrix_lines(target),
+        *_matrix_lines(_swap_power_rows(args.alpha)),
     ]
     if args.phase_error is not None:
         delta = args.phase_error

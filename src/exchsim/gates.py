@@ -4,7 +4,8 @@ A pulsed Heisenberg interaction between two spins generates the one-parameter
 family U(theta) = exp(-i theta s1.s2), where theta is the dimensionless pulse
 area.  theta = pi*alpha realizes SWAP^alpha up to a global phase, so the whole
 gate family is controlled by the single product of exchange strength and
-duration.
+duration.  Each matrix weighs the spectral projectors P_triplet = (1 + SWAP)/2
+and P_singlet = (1 - SWAP)/2, summed entry by entry without numpy or core.
 
 A pulse is a strength and a duration: J, the exchange angular frequency in
 rad/s (energy divided by hbar), held for T seconds, so theta = J T / 2.  The
@@ -13,18 +14,17 @@ gives the gate of any pulse with its area: profile_pulse reduces sampled J(t)
 to the constant pulse with its trapezoid-rule area and its duration.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
 
-from . import core
-
-# Singlet/triplet projectors: the spectral structure of the exchange coupling.
-P_TRIPLET = (core.IDENT_4 + core.SWAP) / 2.0
-P_SINGLET = (core.IDENT_4 - core.SWAP) / 2.0
-P_TRIPLET.setflags(write=False)
-P_SINGLET.setflags(write=False)
+def _spectral_rows(triplet, singlet):
+    """Rows of triplet P_triplet + singlet P_singlet, each entry summed in numpy's order."""
+    one, zero = triplet * 1.0 + singlet * 0.0, triplet * 0.0 + singlet * 0.0
+    plus, minus = triplet * 0.5 + singlet * 0.5, triplet * 0.5 + singlet * -0.5
+    return [[one, zero, zero, zero], [zero, plus, minus, zero],
+            [zero, minus, plus, zero], [zero, zero, zero, one]]
 
 
 def _checked_duration(duration_s):
@@ -61,6 +61,8 @@ def profile_pulse(samples):
     strictly increasing from 0 and strengths >= 0 and finite.  The duration
     T is the last time and the strength is the area divided by T.
     """
+    import numpy as np
+
     samples = tuple((float(ti), float(ji)) for ti, ji in samples)
     if len(samples) < 2:
         raise ValueError("profile needs at least two (time, strength) samples")
@@ -105,10 +107,12 @@ def exchange_unitary(theta):
     Spectral form: e^{-i theta/4} P_triplet + e^{+3i theta/4} P_singlet.
     Equals SWAP^(theta/pi) times the global phase e^{-i theta/4}.
     """
+    import numpy as np
+
     theta = float(theta)
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
-    return np.exp(-1j * theta / 4.0) * P_TRIPLET + np.exp(3j * theta / 4.0) * P_SINGLET
+    return np.array(_spectral_rows(cmath.exp(-1j * theta / 4.0), cmath.exp(3j * theta / 4.0)))
 
 
 def swap_power_target(alpha):
@@ -118,8 +122,13 @@ def swap_power_target(alpha):
     exchange_unitary(pi*alpha) differs from this by the global phase
     e^{-i pi alpha / 4}, which process fidelity ignores.
     """
-    alpha = _checked_alpha(alpha)
-    return P_TRIPLET + np.exp(1j * math.pi * alpha) * P_SINGLET
+    import numpy as np
+
+    return np.array(_swap_power_rows(alpha))
+
+
+def _swap_power_rows(alpha):
+    return _spectral_rows(1.0, cmath.exp(1j * math.pi * _checked_alpha(alpha)))
 
 
 def gate_error_vs_phase(delta_theta):

@@ -7,8 +7,26 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from exchsim import core, gates
+from exchsim import cli, core, gates
 from helpers import expm_series
+
+# The oracle: each gate matrix as numpy sums the scaled spectral projectors
+# P_triplet = (1 + SWAP)/2 and P_singlet = (1 - SWAP)/2, built from core's arrays.
+P_TRIPLET = (core.IDENT_4 + core.SWAP) / 2.0
+P_SINGLET = (core.IDENT_4 - core.SWAP) / 2.0
+
+
+def projector_target(alpha):
+    return P_TRIPLET + np.exp(1j * math.pi * alpha) * P_SINGLET
+
+
+def projector_unitary(theta):
+    return np.exp(-1j * theta / 4.0) * P_TRIPLET + np.exp(3j * theta / 4.0) * P_SINGLET
+
+
+def log_uniform(rng, low, high, size):
+    """size draws of +-10**u, u uniform on [low, high), each sign equally likely."""
+    return rng.choice((-1.0, 1.0), size) * 10.0 ** rng.uniform(low, high, size)
 
 
 class TestPulseSpec:
@@ -187,6 +205,37 @@ class TestSwapPowerTarget:
         np.testing.assert_allclose(u, np.exp(-1j * math.pi * alpha / 4) * target, atol=1e-13)
 
 
+class TestProjectorOracle:
+    """Both matrices are written out entry by entry; they equal the projector sums."""
+
+    @pytest.fixture(scope="class")
+    def alphas(self):
+        rng = np.random.default_rng(4001)
+        edges = (0.0, -0.0, 5e-324, -5e-324, *range(-8, 9))
+        return [float(a) for a in (*rng.uniform(-4.0, 4.0, 5000),
+                                   *log_uniform(rng, -323.0, 150.0, 5000), 1e150, -1e150,
+                                   *edges)]
+
+    def test_swap_power_target_is_the_projector_sum_byte_for_byte(self, alphas):
+        assert len(alphas) >= 10_000
+        assert [a for a in alphas
+                if gates.swap_power_target(a).tobytes() != projector_target(a).tobytes()] == []
+
+    def test_exchange_unitary_equals_the_projector_sum(self):
+        rng = np.random.default_rng(4002)
+        # thetas from 5e-324 to 6e-308, where (triplet +- singlet) / 2 rounds differently
+        tiny = log_uniform(rng, -323.0, -307.2, 1000)
+        thetas = [float(t) for t in (*rng.uniform(-20.0, 20.0, 5000),
+                                     *log_uniform(rng, -323.0, 300.0, 4000), *tiny,
+                                     0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300)]
+        assert [t for t in thetas
+                if not np.array_equal(gates.exchange_unitary(t), projector_unitary(t))] == []
+
+    def test_gate_prints_the_lines_of_the_projector_sum(self, alphas):
+        assert [a for a in alphas if cli._matrix_lines(gates._swap_power_rows(a))
+                != cli._matrix_lines(projector_target(a))] == []
+
+
 class TestGateErrorVsPhase:
     def test_zero(self):
         assert gates.gate_error_vs_phase(0.0) == 0.0
@@ -277,6 +326,8 @@ class TestRelativeErrorToPhaseError:
 def test_alpha_whose_phase_squared_overflows_is_rejected(alpha):
     with pytest.raises(ValueError, match="alpha"):
         gates.swap_power_target(alpha)
+    with pytest.raises(ValueError, match="alpha"):
+        gates._swap_power_rows(alpha)
     with pytest.raises(ValueError, match="alpha"):
         gates.pulse_for_target(alpha, 1.0)
 

@@ -1,14 +1,15 @@
 """Start-up: the package's lazy exports, and which modules CLI commands load.
 
 `import exchsim`, `import exchsim.cli`, a call of budget.small_noise_infidelity,
---version, --help, catalog and feasibility must run without numpy; gate, mc and
+--version, --help, catalog, feasibility and gate must run without numpy; mc and
 sweep load it when they run.
 The CLI imports json, platform, traceback and configparser only where it uses
 them, no command imports csv (it stays watched, so that a re-import shows), and
 montecarlo imports concurrent.futures only for a pool of more than one worker.  Only a fresh interpreter shows what an import loads, so one
 subprocess runs a list of commands and reports, after each, whether numpy and
 which of those six modules were loaded, and whether the dense Kraus module
-dephasing was, which no command loads: mc and sweep read DephasingSpec from noise.
+dephasing and the dense operator module core were, which no command loads: gate
+prints its target from gates' rows, and mc and sweep read DephasingSpec from noise.
 The CLI also imports budget, noise and dataclasses (which both import) only in
 the commands and flags that use them: --version, --help and the feasibility,
 gate and catalog help load none of the three, and a gate run neither budget nor
@@ -54,7 +55,8 @@ DELETED = {
     "noise": {"RectificationMap", "db_to_amplitude_snr", "db_to_power_snr", "realized_pulse",
               "rectification_exchange", "sensitivity_map", "shot_noise_relative_amplitude",
               "integrated_snr"},
-    "gates": {"HBAR_JS", "constant_pulse", "exchange_rate_from_energy"},
+    "gates": {"HBAR_JS", "P_SINGLET", "P_TRIPLET", "constant_pulse",
+              "exchange_rate_from_energy"},
     "dephasing": {"average_fidelity_from_entanglement"},
     "budget": {"max_gate_time", "min_gate_time_from_jitter", "required_bandwidth"},
 }
@@ -81,7 +83,8 @@ SMALL_NOISE_ARGS = (0.5 * math.pi, 0.5, 1e-4, 240e-15, 5e-9, 5e-4, 5e-4)
 # since the runner's first statement (so that what site loaded does not
 # count); a call's record also holds its exit code, stdout and stderr.  After
 # each call it also records, in a list of its own, whether the dense Kraus
-# module exchsim.dephasing is loaded.  json is imported only to print.
+# module exchsim.dephasing and the dense operator module exchsim.core are
+# loaded.  json is imported only to print.
 FRESH_RUNNER = f"""
 import sys
 site_modules = set(sys.modules)
@@ -106,7 +109,7 @@ for argv in ast.literal_eval(sys.argv[1]):
         except SystemExit as exc:
             code = exc.code
     report.append([code, out.getvalue(), err.getvalue(), "numpy" in sys.modules, added()])
-    dense.append("exchsim.dephasing" in sys.modules)
+    dense.append(["exchsim.dephasing" in sys.modules, "exchsim.core" in sys.modules])
 import json
 print(json.dumps([imports, report, dense]))
 """
@@ -163,9 +166,9 @@ def command_steps(tmp_path, out):
          ["configparser"]),
         (["feasibility", "--epsilon", "0", "--tech", "modelocked-laser-10GHz",
           "--out", out_dir + "/epsilon-0"], 2, False, []),
-        # numpy imports platform
-        (["gate", "--alpha", "0.5", "--dj", "1e-4"], 0, True, ["platform"]),
-        (["mc", *MC_ARGS, "--out", out_dir + "/mc"], 0, True, []),
+        (["gate", "--alpha", "0.5", "--dj", "1e-4"], 0, False, []),
+        # the manifest records the Python version, and numpy imports platform too
+        (["mc", *MC_ARGS, "--out", out_dir + "/mc"], 0, True, ["platform"]),
         # two blocks on two workers start the pool; concurrent.futures imports
         # traceback (through logging)
         (["mc", *MC_ARGS, "--workers", "2", "--out", out_dir + "/mc-workers-2"], 0, True,
@@ -211,8 +214,9 @@ class TestFreshProcess:
         model = budget.small_noise_infidelity(*SMALL_NOISE_ARGS).hex()
         assert imports == [False, "exchsim.noise", model, False, False, []]
 
-    def test_only_gate_mc_and_sweep_load_numpy(self, fresh):
+    def test_only_mc_and_sweep_load_numpy(self, fresh):
         _, steps, _, report = fresh
+        assert {argv[0] for argv, _, loads_numpy, _ in steps if loads_numpy} == {"mc", "sweep"}
         for (argv, exit_code, loads_numpy, _), (code, _, err, loaded, _) in zip(steps, report):
             assert (code, loaded) == (exit_code, loads_numpy), argv
             assert (err == "") == (exit_code == 0), argv
@@ -225,11 +229,12 @@ class TestFreshProcess:
             assert record[-1] == loaded, argv
         assert loaded == sorted(set(WATCHED) - {"csv"})  # no command imports csv
 
-    def test_no_command_loads_the_dense_kraus_module(self, fresh_run):
-        # mc and sweep read the T2 record from noise; the Kraus channels stay unloaded
+    def test_no_command_loads_the_dense_kraus_or_operator_module(self, fresh_run):
+        # gate prints its target from gates' rows and mc and sweep read the T2 record
+        # from noise; the Kraus channels and the dense operators stay unloaded
         _, steps, _, _, dense = fresh_run
-        assert {argv[0] for argv, *_ in steps} >= {"mc", "sweep"}
-        assert dense == [False] * len(steps)
+        assert {argv[0] for argv, *_ in steps} >= {"gate", "mc", "sweep"}
+        assert dense == [[False, False]] * len(steps)
 
     def test_bad_epsilon_exits_2_with_its_message(self, fresh):
         _, steps, _, report = fresh
